@@ -3,15 +3,15 @@
 //!
 //! This bench records the kernel trajectory the perf work is judged by:
 //! the legacy hash-per-row kernel (`cube_pass_reference`) against the
-//! dense-keyed chunked kernel (`cube_pass_with`) at 1/2/4/8 worker
+//! dense-keyed chunked kernel (`cube_pass_traced`, no-op recorder) at 1/2/4/8 worker
 //! threads, plus the end-to-end retail preparation. Results land in
 //! `results/BENCH_cube_pass.json`.
 
 use bellwether_bench::{emit_metrics_json, prepare_retail, results_dir, Harness};
 use bellwether_core::build_cube_input;
-use bellwether_cube::{cube_pass_reference, cube_pass_traced, cube_pass_with, Parallelism};
+use bellwether_cube::{cube_pass_reference, cube_pass_traced, Parallelism};
 use bellwether_datagen::{generate_retail, RetailConfig};
-use bellwether_obs::Registry;
+use bellwether_obs::{NoopRecorder, Registry};
 
 fn main() {
     let mut cfg = RetailConfig::mail_order(150, 99);
@@ -37,7 +37,14 @@ fn main() {
     for threads in [1usize, 2, 4, 8] {
         h.bench(
             &format!("cube_pass_retail_150x8x10/threads={threads}"),
-            || cube_pass_with(&data.space, &input, Parallelism::fixed(threads), None),
+            || {
+                cube_pass_traced(
+                    &data.space,
+                    &input,
+                    Parallelism::fixed(threads),
+                    &NoopRecorder,
+                )
+            },
         );
     }
 

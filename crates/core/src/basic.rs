@@ -91,6 +91,68 @@ impl BasicSearchResult {
     }
 }
 
+/// How a candidate region is judged: the budget prefilter, the
+/// coverage and `min_examples` gates, and the report. [`basic_search`]
+/// and the streaming re-score both evaluate through it, so a region is
+/// gated and reported identically on either path.
+pub(crate) struct RegionEvaluator<'a> {
+    space: &'a RegionSpace,
+    cost_model: &'a dyn CostModel,
+    config: &'a BellwetherConfig,
+    /// The coverage gate in items: `⌈min_coverage × |I|⌉`.
+    min_cov_items: usize,
+}
+
+impl<'a> RegionEvaluator<'a> {
+    /// `total_items` is |I|, the coverage denominator.
+    pub(crate) fn new(
+        space: &'a RegionSpace,
+        cost_model: &'a dyn CostModel,
+        config: &'a BellwetherConfig,
+        total_items: usize,
+    ) -> RegionEvaluator<'a> {
+        RegionEvaluator {
+            space,
+            cost_model,
+            config,
+            min_cov_items: (config.min_coverage * total_items as f64).ceil() as usize,
+        }
+    }
+
+    /// Whether `region` fits the budget. Regions that do not are never
+    /// read, so they can never enter the report set.
+    pub(crate) fn affordable(&self, region: &RegionId) -> bool {
+        self.cost_model.cost(self.space, region) <= self.config.budget
+    }
+
+    /// Evaluate an affordable region (source index `idx`) through the
+    /// worker's reusable scratch — zero allocations once warm. `None`
+    /// when the block fails a gate or no model fits.
+    pub(crate) fn evaluate(
+        &self,
+        scratch: &mut RegionEvalScratch,
+        idx: usize,
+        region: RegionId,
+        block: &RegionBlock,
+    ) -> Option<RegionReport> {
+        if block.n() < self.config.min_examples || block.n() < self.min_cov_items {
+            return None;
+        }
+        scratch.gather(block, None);
+        let error = scratch.estimate(self.config)?;
+        let model = scratch.fit_model()?;
+        Some(RegionReport {
+            source_index: idx,
+            label: self.space.label(&region),
+            cost: self.cost_model.cost(self.space, &region),
+            region,
+            n_examples: block.n(),
+            error,
+            model,
+        })
+    }
+}
+
 /// Run the basic bellwether search under `config`'s budget/coverage over
 /// the stored regions. `total_items` is |I|, the coverage denominator.
 pub fn basic_search(
@@ -102,44 +164,20 @@ pub fn basic_search(
 ) -> Result<BasicSearchResult> {
     let _timer = span!(config.recorder, "search/basic");
     let n = source.num_regions();
-    let min_cov_items = (config.min_coverage * total_items as f64).ceil() as usize;
-
-    // Evaluate a candidate region that already passed the budget filter,
-    // through the worker's reusable scratch (zero allocations once warm).
-    let evaluate =
-        |scratch: &mut RegionEvalScratch, idx: usize, block: &RegionBlock| -> Option<RegionReport> {
-            if block.n() < config.min_examples || block.n() < min_cov_items {
-                return None;
-            }
-            scratch.gather(block, None);
-            let error = scratch.estimate(config)?;
-            let model = scratch.fit_model()?;
-            let region = RegionId(source.region_coords(idx).to_vec());
-            Some(RegionReport {
-                source_index: idx,
-                region: region.clone(),
-                label: space.label(&region),
-                cost: cost_model.cost(space, &region),
-                n_examples: block.n(),
-                error,
-                model,
-            })
-        };
+    let evaluator = RegionEvaluator::new(space, cost_model, config, total_items);
+    let region_of = |idx: usize| RegionId(source.region_coords(idx).to_vec());
 
     let scanned = scan_regions_where_policy(
         source,
         config.parallelism,
         config.scan_policy,
-        |idx| {
-            let region = RegionId(source.region_coords(idx).to_vec());
-            cost_model.cost(space, &region) <= config.budget
-        },
+        |idx| evaluator.affordable(&region_of(idx)),
         || WithScratch {
             acc: Concat::default(),
             scratch: RegionEvalScratch::new(),
         },
         |ws: &mut WithScratch<Concat<RegionReport>, RegionEvalScratch>, idx, block| {
-            if let Some(report) = evaluate(&mut ws.scratch, idx, block) {
+            if let Some(report) = evaluator.evaluate(&mut ws.scratch, idx, region_of(idx), block) {
                 ws.acc.0.push(report);
             }
             Ok(())

@@ -40,11 +40,18 @@ fn union_training_data(
     items: &ItemTable,
     targets: &HashMap<i64, f64>,
     collection: &[&RegionId],
+    config: &BellwetherConfig,
 ) -> RegressionData {
-    let features = aggregate_filtered(cube_input, space.arity(), |cell| {
-        let cell = RegionId(cell.to_vec());
-        collection.iter().any(|r| space.contains(r, &cell))
-    });
+    let features = aggregate_filtered(
+        cube_input,
+        space.arity(),
+        |cell| {
+            let cell = RegionId(cell.to_vec());
+            collection.iter().any(|r| space.contains(r, &cell))
+        },
+        config.parallelism,
+        config.recorder.as_ref(),
+    );
     let n_static = items.numeric_attrs().len();
     let p = 1 + n_static + cube_input.measures.len();
     let mut data = RegressionData::with_capacity(p, features.len());
@@ -95,7 +102,7 @@ pub fn greedy_combinatorial_search(
             }
             let mut trial: Vec<&RegionId> = selected.iter().map(|&i| &all[i]).collect();
             trial.push(region);
-            let data = union_training_data(space, cube_input, items, targets, &trial);
+            let data = union_training_data(space, cube_input, items, targets, &trial, config);
             if data.n() < config.min_examples {
                 continue;
             }

@@ -54,10 +54,16 @@ pub fn sampling_baseline_error(
         }
 
         // Aggregate features over the union of the collection's cells.
-        let features = aggregate_filtered(cube_input, space.arity(), |cell| {
-            let cell = RegionId(cell.to_vec());
-            chosen.iter().any(|r| space.contains(r, &cell))
-        });
+        let features = aggregate_filtered(
+            cube_input,
+            space.arity(),
+            |cell| {
+                let cell = RegionId(cell.to_vec());
+                chosen.iter().any(|r| space.contains(r, &cell))
+            },
+            config.parallelism,
+            config.recorder.as_ref(),
+        );
 
         // Assemble a training set with the standard layout.
         let n_static = items.numeric_attrs().len();

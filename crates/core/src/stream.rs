@@ -23,10 +23,11 @@
 //! built from the concatenated input: the delta cube is bit-identical
 //! by construction (see `bellwether-cube`'s `delta` module), the block
 //! assembly is the same [`region_block`] call, and the re-score path
-//! replicates `basic_search`'s evaluation verbatim — same budget
-//! prefilter (over-budget regions are never read, so they can never
-//! enter the report set), same coverage/`min_examples` gates, same
-//! scratch pipeline, same `(error, source index)` argmin tie-break.
+//! evaluates through `basic_search`'s own region evaluator — same
+//! budget prefilter (over-budget regions are never read, so they can
+//! never enter the report set), same coverage/`min_examples` gates,
+//! same scratch pipeline — with the same `(error, source index)` argmin
+//! tie-break.
 //! Regions *not* in the dirty set keep their previous report, which is
 //! bit-identical to what a cold pass would recompute because their
 //! suffstats did not change.
@@ -38,11 +39,10 @@ use std::sync::Arc;
 use bellwether_cube::{CostModel, CubeInput, RegionId, RegionSpace, StreamingCube};
 use bellwether_obs::names;
 use bellwether_storage::{
-    even_shard_plan, CachedSource, RegionBlock, ShardAppender, ShardedSource, ShardedWriter,
-    TrainingSource,
+    even_shard_plan, CachedSource, ShardAppender, ShardedSource, ShardedWriter, TrainingSource,
 };
 
-use crate::basic::{basic_search, BasicSearchResult, RegionReport};
+use crate::basic::{basic_search, BasicSearchResult, RegionEvaluator, RegionReport};
 use crate::error::{BellwetherError, Result};
 use crate::eval::RegionEvalScratch;
 use crate::items::ItemTable;
@@ -125,8 +125,10 @@ impl StreamingBellwether {
     /// every item id any future append may carry (a superset is free —
     /// it never changes an output bit). `regions` is the candidate list
     /// in scan order; its order defines source indices for the lifetime
-    /// of the stream. Returns [`BellwetherError::Config`] when the
-    /// region × item key space is too large for dense delta keys.
+    /// of the stream. Returns [`BellwetherError::Config`] naming the
+    /// cause when the cube refuses `base` (a coordinate outside its
+    /// dimension, an item outside the universe, a malformed input) or
+    /// the region × item key space is too large for dense delta keys.
     #[allow(clippy::too_many_arguments)]
     pub fn create(
         dir: &Path,
@@ -143,11 +145,7 @@ impl StreamingBellwether {
         cache_bytes: usize,
     ) -> Result<StreamingBellwether> {
         let cube = StreamingCube::new(space, base, item_universe, config.parallelism)
-            .ok_or_else(|| {
-                BellwetherError::Config(
-                    "region × item key space too large for incremental maintenance".into(),
-                )
-            })?;
+            .map_err(BellwetherError::Config)?;
 
         std::fs::create_dir_all(dir)?;
         let n_static = items.numeric_attrs().len();
@@ -258,24 +256,31 @@ impl StreamingBellwether {
             .recorder
             .add(names::STORAGE_CACHE_INVALIDATIONS, evicted);
 
-        // Re-score the dirty candidates, replicating `basic_search`'s
-        // evaluation exactly: budget prefilter *before* the read (an
-        // over-budget region is never evaluated and stays report-less),
-        // then the coverage / min-examples gates, then the shared
-        // scratch pipeline.
-        let min_cov_items =
-            (self.config.min_coverage * self.total_items as f64).ceil() as usize;
+        // Re-score the dirty candidates through `basic_search`'s own
+        // evaluator: budget prefilter *before* the read (an over-budget
+        // region is never evaluated and stays report-less), then the
+        // coverage / min-examples gates, then the shared scratch
+        // pipeline.
+        let evaluator = RegionEvaluator::new(
+            &self.space,
+            self.cost_model.as_ref(),
+            &self.config,
+            self.total_items,
+        );
         for &idx in &dirty {
             let region = &self.regions[idx];
-            if self.cost_model.cost(&self.space, region) > self.config.budget {
+            if !evaluator.affordable(region) {
                 continue;
             }
             let block = self
                 .source
                 .read_region(idx)
-                .map_err(|e| BellwetherError::RegionRead { index: idx, source: e })?;
+                .map_err(|e| BellwetherError::RegionRead {
+                    index: idx,
+                    source: e,
+                })?;
             outcome.rescored += 1;
-            self.reports[idx] = self.evaluate(idx, &block, min_cov_items);
+            self.reports[idx] = evaluator.evaluate(&mut self.scratch, idx, region.clone(), &block);
         }
         self.config
             .recorder
@@ -299,30 +304,6 @@ impl StreamingBellwether {
         }
         self.best = new_best;
         Ok(outcome)
-    }
-
-    fn evaluate(
-        &mut self,
-        idx: usize,
-        block: &RegionBlock,
-        min_cov_items: usize,
-    ) -> Option<RegionReport> {
-        if block.n() < self.config.min_examples || block.n() < min_cov_items {
-            return None;
-        }
-        self.scratch.gather(block, None);
-        let error = self.scratch.estimate(&self.config)?;
-        let model = self.scratch.fit_model()?;
-        let region = self.regions[idx].clone();
-        Some(RegionReport {
-            source_index: idx,
-            region: region.clone(),
-            label: self.space.label(&region),
-            cost: self.cost_model.cost(&self.space, &region),
-            n_examples: block.n(),
-            error,
-            model,
-        })
     }
 
     /// Argmin over retained reports by `(error, source index)` — the

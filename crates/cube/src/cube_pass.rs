@@ -55,15 +55,36 @@
 //!
 //! The result maps every region to its per-item feature vectors, plus
 //! coverage counts — everything basic bellwether search needs.
+//!
+//! # One engine, three run policies
+//!
+//! Every CUBE pass of this crate runs on the same primitives: one chunk
+//! fold (`fold_chunks`), one checked key function (`KeySpace::key`), one
+//! run merger (`RunMerger`, which takes key-sorted tables one at a time
+//! and folds them copy-first, in feed order) and one rollup
+//! (`expand_rollup`). A **run** is the merged state of consecutive
+//! chunks. The entry points differ only in their run policy:
+//!
+//! * **cold** ([`cube_pass`], [`cube_pass_traced`]) — one run over every
+//!   chunk, no byte budget;
+//! * **external** ([`crate::external`]) — fixed
+//!   [`RUN_CHUNKS`](crate::RUN_CHUNKS)-chunk runs that may spill to disk,
+//!   then fed to one merger in the order they were formed;
+//! * **streaming** ([`crate::delta`]) — one retained run that takes in
+//!   each completed chunk in place.
+//!
+//! Cold and external share the driver `run_pass`; a cold pass is
+//! exactly an external pass whose single run never spills.
 
+use crate::external::{RunStore, UNLIMITED_BUDGET};
 use crate::fxhash::FxMap;
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
-use bellwether_obs::{names, span, NoopRecorder, Recorder};
-use bellwether_storage::CubeStats;
+use bellwether_obs::{names, span, Recorder};
 use bellwether_table::ops::AggFunc;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io;
 use std::ops::Range;
 
 /// Fixed scan granularity: fact rows are folded in chunks of this many
@@ -121,12 +142,30 @@ impl Measure {
         }
     }
 
-    pub(crate) fn check_len(&self, n: usize) {
-        let len = match self {
+    fn len(&self) -> usize {
+        match self {
             Measure::Numeric { values, .. } => values.len(),
             Measure::DistinctKeyed { keys, .. } => keys.len(),
-        };
-        assert_eq!(len, n, "measure {} length mismatch", self.name());
+        }
+    }
+
+    /// Same name, kind and function (the rows may differ).
+    fn same_schema(&self, other: &Measure) -> bool {
+        match (self, other) {
+            (
+                Measure::Numeric { name, func, .. },
+                Measure::Numeric {
+                    name: n2, func: f2, ..
+                },
+            )
+            | (
+                Measure::DistinctKeyed { name, func, .. },
+                Measure::DistinctKeyed {
+                    name: n2, func: f2, ..
+                },
+            ) => name == n2 && func == f2,
+            _ => false,
+        }
     }
 }
 
@@ -140,6 +179,120 @@ pub struct CubeInput {
     pub coords: Vec<u32>,
     /// The measures to aggregate.
     pub measures: Vec<Measure>,
+}
+
+impl CubeInput {
+    /// Number of fact rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.item_ids.len()
+    }
+
+    /// Output feature names, in measure order.
+    pub(crate) fn measure_names(&self) -> Vec<String> {
+        self.measures.iter().map(|m| m.name().to_string()).collect()
+    }
+
+    /// `Err` unless there are `arity` coordinates and one value of every
+    /// measure per row.
+    pub(crate) fn check_shape(&self, arity: usize) -> Result<(), String> {
+        if self.coords.len() != self.rows() * arity {
+            return Err("coords length mismatch".to_string());
+        }
+        match self.measures.iter().find(|m| m.len() != self.rows()) {
+            Some(m) => Err(format!("measure {} length mismatch", m.name())),
+            None => Ok(()),
+        }
+    }
+
+    /// `Err` unless `other` has this input's measures: same count and,
+    /// in order, the same names, kinds and functions.
+    pub(crate) fn check_schema(&self, other: &CubeInput) -> Result<(), String> {
+        if self.measures.len() != other.measures.len() {
+            return Err(format!(
+                "{} measures where {} were expected",
+                other.measures.len(),
+                self.measures.len()
+            ));
+        }
+        match self
+            .measures
+            .iter()
+            .zip(&other.measures)
+            .find(|(a, b)| !a.same_schema(b))
+        {
+            Some((_, b)) => Err(format!("measure {:?} does not match the schema", b.name())),
+            None => Ok(()),
+        }
+    }
+
+    /// An input with this one's measure schema and no rows.
+    pub(crate) fn empty_like(&self) -> CubeInput {
+        let measures = self
+            .measures
+            .iter()
+            .map(|m| match m {
+                Measure::Numeric { name, func, .. } => Measure::Numeric {
+                    name: name.clone(),
+                    func: *func,
+                    values: Vec::new(),
+                },
+                Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
+                    name: name.clone(),
+                    func: *func,
+                    keys: Vec::new(),
+                    values: Vec::new(),
+                },
+            })
+            .collect();
+        CubeInput {
+            item_ids: Vec::new(),
+            coords: Vec::new(),
+            measures,
+        }
+    }
+
+    /// Append every row of `other`, which must pass
+    /// [`check_schema`](Self::check_schema) against `self`.
+    pub(crate) fn extend(&mut self, other: &CubeInput) {
+        self.item_ids.extend_from_slice(&other.item_ids);
+        self.coords.extend_from_slice(&other.coords);
+        for (dst, src) in self.measures.iter_mut().zip(&other.measures) {
+            match (dst, src) {
+                (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
+                    values.extend_from_slice(sv)
+                }
+                (
+                    Measure::DistinctKeyed { keys, values, .. },
+                    Measure::DistinctKeyed {
+                        keys: sk,
+                        values: sv,
+                        ..
+                    },
+                ) => {
+                    keys.extend_from_slice(sk);
+                    values.extend_from_slice(sv);
+                }
+                _ => panic!("measure kinds differ: check_schema before extend"),
+            }
+        }
+    }
+
+    /// Drop the first `rows` rows in place.
+    pub(crate) fn drain_front(&mut self, rows: usize, arity: usize) {
+        self.item_ids.drain(..rows);
+        self.coords.drain(..rows * arity);
+        for m in &mut self.measures {
+            match m {
+                Measure::Numeric { values, .. } => {
+                    values.drain(..rows);
+                }
+                Measure::DistinctKeyed { keys, values, .. } => {
+                    keys.drain(..rows);
+                    values.drain(..rows);
+                }
+            }
+        }
+    }
 }
 
 /// Reduce the distinct-key map of one cell in key order, so the float
@@ -382,59 +535,49 @@ fn gather_take<T: Default>(v: &mut [T], idx: &[u32]) -> Vec<T> {
 impl StateCol {
     fn new(measure: &Measure, len: usize) -> StateCol {
         match measure {
-            Measure::Numeric { func, .. } => match func {
-                AggFunc::Sum => StateCol::Sum {
-                    totals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::Count => StateCol::Count(vec![0; len]),
-                AggFunc::Avg => StateCol::Avg {
-                    totals: vec![0.0; len],
-                    counts: vec![0; len],
-                },
-                AggFunc::Min => StateCol::Min {
-                    vals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::Max => StateCol::Max {
-                    vals: vec![0.0; len],
-                    seen: vec![false; len],
-                },
-                AggFunc::CountDistinct => {
-                    panic!("CountDistinct requires Measure::DistinctKeyed")
-                }
-            },
-            Measure::DistinctKeyed { func, .. } => StateCol::Distinct {
-                func: *func,
-                pairs: vec![Vec::new(); len],
-            },
+            Measure::Numeric { func, .. } => StateCol::with_kind(*func, false, len),
+            Measure::DistinctKeyed { func, .. } => StateCol::with_kind(*func, true, len),
         }
     }
 
     /// A fresh column of the same measure kind with `len` empty slots.
     pub(crate) fn new_like(&self, len: usize) -> StateCol {
-        match self {
-            StateCol::Sum { .. } => StateCol::Sum {
+        let func = match self {
+            StateCol::Sum { .. } => AggFunc::Sum,
+            StateCol::Count(_) => AggFunc::Count,
+            StateCol::Avg { .. } => AggFunc::Avg,
+            StateCol::Min { .. } => AggFunc::Min,
+            StateCol::Max { .. } => AggFunc::Max,
+            StateCol::Distinct { func, .. } => return StateCol::with_kind(*func, true, len),
+        };
+        StateCol::with_kind(func, false, len)
+    }
+
+    /// `len` empty slots of `func`, over distinct keys or plain values.
+    fn with_kind(func: AggFunc, distinct: bool, len: usize) -> StateCol {
+        match func {
+            _ if distinct => StateCol::Distinct {
+                func,
+                pairs: vec![Vec::new(); len],
+            },
+            AggFunc::Sum => StateCol::Sum {
                 totals: vec![0.0; len],
                 seen: vec![false; len],
             },
-            StateCol::Count(_) => StateCol::Count(vec![0; len]),
-            StateCol::Avg { .. } => StateCol::Avg {
+            AggFunc::Count => StateCol::Count(vec![0; len]),
+            AggFunc::Avg => StateCol::Avg {
                 totals: vec![0.0; len],
                 counts: vec![0; len],
             },
-            StateCol::Min { .. } => StateCol::Min {
+            AggFunc::Min => StateCol::Min {
                 vals: vec![0.0; len],
                 seen: vec![false; len],
             },
-            StateCol::Max { .. } => StateCol::Max {
+            AggFunc::Max => StateCol::Max {
                 vals: vec![0.0; len],
                 seen: vec![false; len],
             },
-            StateCol::Distinct { func, .. } => StateCol::Distinct {
-                func: *func,
-                pairs: vec![Vec::new(); len],
-            },
+            AggFunc::CountDistinct => panic!("CountDistinct requires Measure::DistinctKeyed"),
         }
     }
 
@@ -630,7 +773,7 @@ impl StateCol {
     }
 
     /// Reorder into `idx` order (indices distinct), consuming the lanes.
-    fn gather(&mut self, idx: &[u32]) -> StateCol {
+    pub(crate) fn gather(&mut self, idx: &[u32]) -> StateCol {
         match self {
             StateCol::Sum { totals, seen } => StateCol::Sum {
                 totals: gather_copy(totals, idx),
@@ -828,11 +971,13 @@ pub(crate) struct KeySpace {
 
 impl KeySpace {
     pub(crate) fn build(space: &RegionSpace, item_ids: &[i64]) -> Option<KeySpace> {
-        let num_values: Vec<u64> = space
-            .dims()
-            .iter()
-            .map(|d| d.num_values() as u64)
-            .collect();
+        let num_values = space.dims().iter().map(|d| d.num_values() as u64);
+        KeySpace::over(num_values.collect(), item_ids)
+    }
+
+    /// [`KeySpace::build`] over dimensions of `num_values` values each
+    /// (none: keys are dense item indices).
+    fn over(num_values: Vec<u64>, item_ids: &[i64]) -> Option<KeySpace> {
         if num_values.contains(&0) {
             return None;
         }
@@ -864,13 +1009,32 @@ impl KeySpace {
         })
     }
 
+    /// Size of the combined `(cell, item)` key space.
+    pub(crate) fn key_space(&self) -> u64 {
+        self.cell_space * self.n_items
+    }
+
+    /// The dense key of one fact row — the one key function of every
+    /// pass. `Err` names the first coordinate outside its dimension or
+    /// an item outside the universe.
     #[inline]
-    pub(crate) fn cell_key(&self, coords: &[u32]) -> u64 {
-        coords
+    pub(crate) fn key(&self, item: i64, coords: &[u32]) -> Result<u64, String> {
+        let mut cell = 0;
+        for (d, ((&c, &nv), &stride)) in coords
             .iter()
+            .zip(&self.num_values)
             .zip(&self.strides)
-            .map(|(&c, &s)| c as u64 * s)
-            .sum()
+            .enumerate()
+        {
+            if c as u64 >= nv {
+                return Err(format!("coordinate {c} out of range on dimension {d}"));
+            }
+            cell += c as u64 * stride;
+        }
+        match self.item_index.get(&item) {
+            Some(&idx) => Ok(cell * self.n_items + idx as u64),
+            None => Err(format!("item {item} is outside the item universe")),
+        }
     }
 
     pub(crate) fn decode_region(&self, key: u64) -> Vec<u32> {
@@ -890,9 +1054,25 @@ pub(crate) fn chunk_range(chunk: usize, n: usize) -> Range<usize> {
     chunk * ROW_CHUNK..((chunk + 1) * ROW_CHUNK).min(n)
 }
 
-/// Even split point `w` of `space` into `t` contiguous ranges.
-fn split_point(space: u64, w: usize, t: usize) -> u64 {
-    ((space as u128 * w as u128) / t as u128) as u64
+/// `work` over `threads` even contiguous splits of `[0, space)`, results
+/// in split order — the one worker pool of the fold, merge and rollup.
+fn split_work<R: Send>(space: u64, threads: usize, work: impl Fn(u64, u64) -> R + Sync) -> Vec<R> {
+    if threads <= 1 {
+        return vec![work(0, space)];
+    }
+    let split = |w: usize| ((space as u128 * w as u128) / threads as u128) as u64;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|w| {
+                let (work, lo, hi) = (&work, split(w), split(w + 1));
+                s.spawn(move || work(lo, hi))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("cube worker panicked"))
+            .collect()
+    })
 }
 
 /// Phase 1a for one chunk: fold its rows into a key-sorted table. Pass
@@ -936,171 +1116,212 @@ where
     table
 }
 
-/// Phase 1a: fold all rows chunk by chunk, sharding chunks over
-/// `threads` workers. The returned tables are in chunk order — the
-/// partition of chunks onto workers never shows in the output.
-fn scan_chunks<K>(input: &CubeInput, arity: usize, threads: usize, key_of: &K) -> Vec<StateTable>
+/// Phase 1a: fold chunks `chunks` of `input`, sharding them over
+/// `threads` workers. The tables return in chunk order — the partition
+/// of chunks onto workers never shows in the output.
+pub(crate) fn fold_chunks<K>(
+    input: &CubeInput,
+    arity: usize,
+    chunks: Range<usize>,
+    threads: usize,
+    key_of: &K,
+) -> Vec<StateTable>
 where
     K: Fn(usize, &[u32]) -> Option<u64> + Sync,
 {
-    let n = input.item_ids.len();
-    let n_chunks = n.div_ceil(ROW_CHUNK);
-    if threads <= 1 {
-        return (0..n_chunks)
-            .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-            .collect();
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = n_chunks * w / threads;
-                let hi = n_chunks * (w + 1) / threads;
-                s.spawn(move || {
-                    (lo..hi)
-                        .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("cube scan worker panicked"))
-            .collect()
+    let n = input.rows();
+    let start = chunks.start as u64;
+    let threads = threads.min(chunks.len()).max(1);
+    split_work(chunks.len() as u64, threads, |a, b| {
+        (start + a..start + b)
+            .map(|c| fold_chunk(input, arity, chunk_range(c as usize, n), key_of))
+            .collect::<Vec<_>>()
     })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
-/// Phase 1b for one key range: merge every chunk's slice of `[lo, hi)`
-/// in chunk order, column by column. Per source table the occupancy
+/// Slot bookkeeping of a [`RunMerger`].
+enum Slots {
+    /// `occupied[key - lo]`: a flat table over the whole range.
+    Dense(Vec<bool>),
+    /// Key → slot, with `keys[slot]` in first-seen order. Slots from
+    /// `indexed` on are not in `index` yet: they were appended above
+    /// every earlier key and are hashed only once a later table lands
+    /// below `max`.
+    Sparse {
+        index: FxMap<u64, u32>,
+        keys: Vec<u64>,
+        indexed: usize,
+        max: Option<u64>,
+    },
+}
+
+/// Phase 1b for one key range `[lo, hi)`: merges key-sorted tables, fed
+/// one at a time, into the range's base cells. Per key, contributions
+/// fold in feed order, copy-first. Per fed table the occupancy
 /// pre-state of every touched slot is captured first, so each column
-/// merge knows copy vs merge without re-deriving it. Returns the
-/// range's base cells sorted by key.
-fn merge_range(
-    tables: &[StateTable],
+/// merge knows copy vs merge without re-deriving it. A run's chunk
+/// tables are fed in chunk order; the external pass feeds every run's
+/// frames in formation order.
+pub(crate) struct RunMerger {
     lo: u64,
     hi: u64,
-    dense: bool,
-    merges: &mut u64,
-) -> StateTable {
-    let mut was: Vec<bool> = Vec::new();
-    let mut dsts: Vec<u32> = Vec::new();
-    if dense {
-        let n_slots = (hi - lo) as usize;
-        let mut occupied = vec![false; n_slots];
-        let mut cols: Vec<StateCol> = tables
-            .first()
-            .map(|t| t.cols.iter().map(|c| c.new_like(n_slots)).collect())
-            .unwrap_or_default();
-        for t in tables {
-            let r = t.range_of(lo, hi);
-            if r.is_empty() {
-                continue;
+    slots: Slots,
+    cols: Vec<StateCol>,
+    dsts: Vec<u32>,
+    was: Vec<bool>,
+    merges: u64,
+}
+
+impl RunMerger {
+    /// A merger for `[lo, hi)` of a `key_space`-key space: a flat dense
+    /// table when the key space is small, a hash index otherwise.
+    pub(crate) fn new(lo: u64, hi: u64, key_space: u64) -> RunMerger {
+        let slots = if key_space <= DENSE_SLOTS_MAX {
+            Slots::Dense(vec![false; (hi - lo) as usize])
+        } else {
+            Slots::Sparse {
+                index: FxMap::default(),
+                keys: Vec::new(),
+                indexed: 0,
+                max: None,
             }
-            was.clear();
-            dsts.clear();
-            for &k in &t.keys[r.clone()] {
-                let s = (k - lo) as usize;
-                *merges += occupied[s] as u64;
-                was.push(occupied[s]);
-                dsts.push(s as u32);
-                occupied[s] = true;
-            }
-            for (dst, src) in cols.iter_mut().zip(&t.cols) {
-                dst.merge_from(src, r.clone(), &dsts, &was);
-            }
+        };
+        RunMerger {
+            lo,
+            hi,
+            slots,
+            cols: Vec::new(),
+            dsts: Vec::new(),
+            was: Vec::new(),
+            merges: 0,
         }
-        let idx: Vec<u32> = occupied
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &o)| o.then_some(i as u32))
-            .collect();
-        let keys: Vec<u64> = idx.iter().map(|&i| lo + i as u64).collect();
-        for col in &mut cols {
-            *col = col.gather(&idx);
-            col.dedup_distinct();
+    }
+
+    /// Fold the range's slice of the key-sorted table `t`.
+    pub(crate) fn push(&mut self, t: &StateTable) {
+        if self.cols.is_empty() {
+            let len = match &self.slots {
+                Slots::Dense(occupied) => occupied.len(),
+                Slots::Sparse { .. } => 0,
+            };
+            self.cols = t.cols.iter().map(|c| c.new_like(len)).collect();
         }
-        StateTable { keys, cols }
-    } else {
-        let mut index: FxMap<u64, u32> = FxMap::default();
-        let mut keys: Vec<u64> = Vec::new();
-        let mut cols: Vec<StateCol> = tables
-            .first()
-            .map(|t| t.cols.iter().map(|c| c.new_like(0)).collect())
-            .unwrap_or_default();
-        let mut slots: Vec<u32> = Vec::new();
-        for t in tables {
-            let r = t.range_of(lo, hi);
-            if r.is_empty() {
-                continue;
-            }
-            slots.clear();
-            was.clear();
-            for &k in &t.keys[r.clone()] {
-                match index.entry(k) {
-                    Entry::Occupied(e) => {
-                        slots.push(*e.get());
-                        was.push(true);
-                    }
-                    Entry::Vacant(e) => {
-                        let s = keys.len() as u32;
-                        keys.push(k);
-                        e.insert(s);
-                        slots.push(s);
-                        was.push(false);
-                    }
+        let r = t.range_of(self.lo, self.hi);
+        if r.is_empty() {
+            return;
+        }
+        let (dsts, was) = (&mut self.dsts, &mut self.was);
+        dsts.clear();
+        was.clear();
+        match &mut self.slots {
+            Slots::Dense(occupied) => {
+                for &k in &t.keys[r.clone()] {
+                    let s = (k - self.lo) as usize;
+                    was.push(occupied[s]);
+                    dsts.push(s as u32);
+                    occupied[s] = true;
                 }
             }
-            *merges += was.iter().filter(|&&w| w).count() as u64; // sparse path: cold
-            for col in &mut cols {
-                col.resize_default(keys.len());
-            }
-            for (dst, src) in cols.iter_mut().zip(&t.cols) {
-                dst.merge_from(src, r.clone(), &slots, &was);
+            Slots::Sparse {
+                index,
+                keys,
+                indexed,
+                max,
+            } => {
+                let slice = &t.keys[r.clone()];
+                let above = max.is_none_or(|m| slice[0] > m);
+                *max = (*max).max(slice.last().copied());
+                if above {
+                    // Every key is new and lands in order (disjoint
+                    // ascending runs): append without hashing.
+                    dsts.extend(keys.len() as u32..(keys.len() + slice.len()) as u32);
+                    was.resize(slice.len(), false);
+                    keys.extend_from_slice(slice);
+                } else {
+                    for (s, &k) in keys.iter().enumerate().skip(*indexed) {
+                        index.insert(k, s as u32);
+                    }
+                    for &k in slice {
+                        match index.entry(k) {
+                            Entry::Occupied(e) => {
+                                dsts.push(*e.get());
+                                was.push(true);
+                            }
+                            Entry::Vacant(e) => {
+                                let s = keys.len() as u32;
+                                keys.push(k);
+                                e.insert(s);
+                                dsts.push(s);
+                                was.push(false);
+                            }
+                        }
+                    }
+                    *indexed = keys.len();
+                }
+                for col in &mut self.cols {
+                    col.resize_default(keys.len());
+                }
             }
         }
-        let mut table = StateTable { keys, cols };
+        self.merges += was.iter().filter(|&&w| w).count() as u64;
+        for (dst, src) in self.cols.iter_mut().zip(&t.cols) {
+            dst.merge_from(src, r.clone(), dsts, was);
+        }
+    }
+
+    /// The range's base cells sorted by key, and the number of merges
+    /// (contributions that landed on an occupied slot).
+    pub(crate) fn finish(self) -> (StateTable, u64) {
+        let mut table = match self.slots {
+            Slots::Dense(occupied) => {
+                let idx: Vec<u32> = occupied
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, &o)| o.then_some(i as u32))
+                    .collect();
+                let keys = idx.iter().map(|&i| self.lo + i as u64).collect();
+                let mut cols = self.cols;
+                for col in &mut cols {
+                    *col = col.gather(&idx);
+                }
+                StateTable { keys, cols }
+            }
+            Slots::Sparse { keys, .. } => {
+                let mut table = StateTable {
+                    keys,
+                    cols: self.cols,
+                };
+                table.sort_by_key();
+                table
+            }
+        };
         for col in &mut table.cols {
             col.dedup_distinct();
         }
-        table.sort_by_key();
-        table
+        (table, self.merges)
     }
 }
 
-/// Phase 1b: merge chunk tables into per-worker shards of contiguous
-/// key ranges. Concatenating the shards in order yields all base cells
-/// sorted by key — for every worker count.
+/// Phase 1b: merge a run's chunk tables into per-worker shards of
+/// contiguous key ranges. Concatenating the shards in order yields all
+/// base cells sorted by key — for every worker count.
 pub(crate) fn merge_chunks(
     tables: &[StateTable],
     key_space: u64,
     threads: usize,
 ) -> (Vec<StateTable>, u64) {
-    let dense = key_space <= DENSE_SLOTS_MAX;
-    if threads <= 1 {
-        let mut merges = 0;
-        let shard = merge_range(tables, 0, key_space, dense, &mut merges);
-        return (vec![shard], merges);
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let lo = split_point(key_space, w, threads);
-                let hi = split_point(key_space, w + 1, threads);
-                s.spawn(move || {
-                    let mut merges = 0;
-                    let shard = merge_range(tables, lo, hi, dense, &mut merges);
-                    (shard, merges)
-                })
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(threads);
-        let mut merges = 0;
-        for h in handles {
-            let (shard, m) = h.join().expect("cube merge worker panicked");
-            shards.push(shard);
-            merges += m;
+    let parts = split_work(key_space, threads, |lo, hi| {
+        let mut merger = RunMerger::new(lo, hi, key_space);
+        for t in tables {
+            merger.push(t);
         }
-        (shards, merges)
-    })
+        merger.finish()
+    });
+    let merges = parts.iter().map(|(_, m)| m).sum();
+    (parts.into_iter().map(|(shard, _)| shard).collect(), merges)
 }
 
 /// The region keys containing `cell_key` that fall in `[lo, hi)`,
@@ -1362,105 +1583,148 @@ pub(crate) fn expand_rollup(
 
     let mut regions = HashMap::new();
     let mut merges = 0;
-    if threads <= 1 {
-        let (finished, m) = worker(0, ks.cell_space);
+    for (finished, m) in split_work(ks.cell_space, threads, worker) {
         regions.extend(finished);
         merges += m;
-    } else {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let lo = split_point(ks.cell_space, w, threads);
-                    let hi = split_point(ks.cell_space, w + 1, threads);
-                    let worker = &worker;
-                    s.spawn(move || worker(lo, hi))
-                })
-                .collect();
-            for h in handles {
-                let (finished, m) = h.join().expect("cube rollup worker panicked");
-                regions.extend(finished);
-                merges += m;
-            }
-        });
     }
     (regions, merges)
 }
 
 /// Run the CUBE pass over fact data with default [`Parallelism`].
 pub fn cube_pass(space: &RegionSpace, input: &CubeInput) -> CubeResult {
-    cube_pass_with(space, input, Parallelism::default(), None)
-}
-
-/// Run the CUBE pass with an explicit thread budget and optional
-/// counters. The result is bit-identical for every `Parallelism`.
-///
-/// `CubeStats` implements `Recorder` (counters only), so this is a thin
-/// shim over [`cube_pass_traced`] — both entry points share one
-/// instrumentation path.
-pub fn cube_pass_with(
-    space: &RegionSpace,
-    input: &CubeInput,
-    par: Parallelism,
-    stats: Option<&CubeStats>,
-) -> CubeResult {
-    match stats {
-        Some(st) => cube_pass_traced(space, input, par, st),
-        None => cube_pass_traced(space, input, par, &NoopRecorder),
-    }
+    cube_pass_traced(
+        space,
+        input,
+        Parallelism::default(),
+        &bellwether_obs::NoopRecorder,
+    )
 }
 
 /// Run the CUBE pass reporting into a [`Recorder`]: phase counters under
 /// the canonical `cube_pass/*` names plus one span per phase
 /// (`phase1_scan`, `phase1_merge`, `phase2_rollup`). With a disabled
-/// recorder (e.g. [`NoopRecorder`]) the kernel pays one branch per phase
-/// and nothing per row; the result is bit-identical either way.
+/// recorder (e.g. [`bellwether_obs::NoopRecorder`]) the kernel pays one
+/// branch per phase and nothing per row; the result is bit-identical
+/// either way, and for every `Parallelism`. `CubeStats` implements
+/// `Recorder`, so it collects the counters alone.
+///
+/// This is the cold run policy: one run over every chunk, no budget.
 pub fn cube_pass_traced(
     space: &RegionSpace,
     input: &CubeInput,
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> CubeResult {
-    let n = input.item_ids.len();
-    let arity = space.arity();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
-    }
+    let store = RunStore::new(UNLIMITED_BUDGET);
+    run_pass(
+        space,
+        std::slice::from_ref(input),
+        par,
+        usize::MAX,
+        store,
+        rec,
+    )
+    .expect("an unlimited budget never spills")
+}
 
-    let measure_names: Vec<String> = input.measures.iter().map(|m| m.name().to_string()).collect();
-    if n == 0 {
-        return CubeResult {
+/// The engine behind the cold and external passes. Phase 1 folds the
+/// inputs' chunks, in order, into runs of `run_chunks` chunks (the last
+/// may be short; a run may straddle inputs) and merges each run into
+/// key-range shards; `store` keeps or spills every completed run, then
+/// merges the runs in formation order. Phase 2 rolls the base cells up.
+///
+/// Inputs must pass [`CubeInput::check_shape`] and share the first
+/// input's measure schema, or the pass panics. When the dense key
+/// encoding overflows, the tuple-keyed reference kernel runs over the
+/// concatenated input instead — it is not out-of-core.
+pub(crate) fn run_pass(
+    space: &RegionSpace,
+    inputs: &[CubeInput],
+    par: Parallelism,
+    run_chunks: usize,
+    mut store: RunStore,
+    rec: &dyn Recorder,
+) -> io::Result<CubeResult> {
+    let arity = space.arity();
+    let measure_names = inputs
+        .first()
+        .map(CubeInput::measure_names)
+        .unwrap_or_default();
+    for (idx, input) in inputs.iter().enumerate() {
+        let checked = input
+            .check_shape(arity)
+            .and_then(|()| inputs[0].check_schema(input));
+        if let Err(e) = checked {
+            panic!("input {idx}: {e}");
+        }
+    }
+    let total_rows: usize = inputs.iter().map(CubeInput::rows).sum();
+    if total_rows == 0 {
+        return Ok(CubeResult {
             measure_names,
             regions: HashMap::new(),
-        };
+        });
     }
-    let Some(ks) = KeySpace::build(space, &input.item_ids) else {
-        // Key space too large for dense u64 encoding — use the
-        // tuple-keyed reference kernel.
-        return cube_pass_reference(space, input);
+
+    // Item domain over all inputs, deduplicated incrementally so the
+    // working set stays `O(#distinct items)`, not `O(rows)`.
+    let mut items: Vec<i64> = Vec::new();
+    for input in inputs {
+        items.extend_from_slice(&input.item_ids);
+        items.sort_unstable();
+        items.dedup();
+    }
+    let Some(ks) = KeySpace::build(space, &items) else {
+        return Ok(match inputs {
+            [one] => cube_pass_reference(space, one),
+            _ => {
+                let mut all = inputs[0].empty_like();
+                inputs.iter().for_each(|input| all.extend(input));
+                cube_pass_reference(space, &all)
+            }
+        });
     };
+    drop(items);
+    let key_space = ks.key_space();
+    let threads = par.threads_for(total_rows.div_ceil(ROW_CHUNK));
 
-    let threads = par.threads_for(n.div_ceil(ROW_CHUNK));
-
-    // Phase 1a: chunked base-cell aggregation.
-    let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-        for (d, (&c, &nv)) in coords.iter().zip(&ks.num_values).enumerate() {
-            assert!((c as u64) < nv, "coordinate {c} out of range on dimension {d}");
+    // Phase 1: chunk folds (1a) closed into merged runs (1b).
+    let mut pending: Vec<StateTable> = Vec::new();
+    let mut run_merges = 0u64;
+    let mut close_run = |pending: &mut Vec<StateTable>| -> io::Result<()> {
+        let (shards, merges) = {
+            let _t = span!(rec, "cube_pass/phase1_merge");
+            merge_chunks(pending, key_space, threads)
+        };
+        pending.clear();
+        run_merges += merges;
+        store.push(shards, rec)
+    };
+    for input in inputs {
+        let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
+            Some(
+                ks.key(input.item_ids[row], coords)
+                    .unwrap_or_else(|e| panic!("{e}")),
+            )
+        };
+        let n_chunks = input.rows().div_ceil(ROW_CHUNK);
+        let mut c = 0;
+        while c < n_chunks {
+            let take = (run_chunks - pending.len()).min(n_chunks - c);
+            {
+                let _t = span!(rec, "cube_pass/phase1_scan");
+                pending.extend(fold_chunks(input, arity, c..c + take, threads, &key_of));
+            }
+            c += take;
+            if pending.len() == run_chunks {
+                close_run(&mut pending)?;
+            }
         }
-        let item_idx = ks.item_index[&input.item_ids[row]];
-        Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
-    };
-    let tables = {
-        let _t = span!(rec, "cube_pass/phase1_scan");
-        scan_chunks(input, arity, threads, &key_of)
-    };
-
-    // Phase 1b: merge chunks into key-range shards.
-    let (shards, merges_1b) = {
-        let _t = span!(rec, "cube_pass/phase1_merge");
-        merge_chunks(&tables, ks.cell_space * ks.n_items, threads)
-    };
-    drop(tables);
+    }
+    if !pending.is_empty() {
+        close_run(&mut pending)?;
+    }
+    let (shards, final_merges) = store.merge(key_space, rec)?;
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
 
     // Phase 2: rollup expansion.
@@ -1469,14 +1733,17 @@ pub fn cube_pass_traced(
         expand_rollup(space, &ks, &shards, threads, None)
     };
 
-    rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
+    rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);
     rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
-    rec.add(names::CUBE_PASS_CELL_MERGES, merges_1b + merges_2);
+    rec.add(
+        names::CUBE_PASS_CELL_MERGES,
+        run_merges + final_merges + merges_2,
+    );
     rec.add(names::CUBE_PASS_REGIONS_EMITTED, regions.len() as u64);
-    CubeResult {
+    Ok(CubeResult {
         measure_names,
         regions,
-    }
+    })
 }
 
 /// The original tuple-keyed, single-threaded CUBE pass, retained as the
@@ -1487,11 +1754,10 @@ pub fn cube_pass_traced(
 /// iteration, so floating-point aggregates are only reproducible when
 /// the arithmetic is exact (e.g. integer-valued sums).
 pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult {
-    let n = input.item_ids.len();
+    let n = input.rows();
     let arity = space.arity();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
+    if let Err(e) = input.check_shape(arity) {
+        panic!("{e}");
     }
 
     // Phase 1: base-cell aggregation keyed by (finest coords, item).
@@ -1526,7 +1792,7 @@ pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult
     }
 
     // Finalize.
-    let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
+    let measure_names = input.measure_names();
     let regions = regions
         .into_iter()
         .map(|(r, items)| {
@@ -1544,76 +1810,45 @@ pub fn cube_pass_reference(space: &RegionSpace, input: &CubeInput) -> CubeResult
 }
 
 /// Aggregate the measures per item over the fact rows whose finest-cell
-/// coordinates pass `row_filter`, with no cube expansion, using default
-/// [`Parallelism`].
+/// coordinates pass `row_filter`, with no cube expansion.
 ///
 /// This evaluates the same feature queries over an *arbitrary* union of
 /// cells — the shape the random-sampling baseline of Figure 7(a) buys,
-/// which "may not correspond to any OLAP-style region".
+/// which "may not correspond to any OLAP-style region". It runs on the
+/// same chunk fold and run merger as [`cube_pass`] (keyed by dense item
+/// index alone), so the result is bit-identical for every
+/// `Parallelism`. Counters use the `cube_pass/*` names; the fold and
+/// merge are timed under `cube_pass/phase1_scan` and
+/// `cube_pass/phase1_merge`.
 pub fn aggregate_filtered(
-    input: &CubeInput,
-    arity: usize,
-    row_filter: impl Fn(&[u32]) -> bool + Sync,
-) -> HashMap<i64, Vec<Option<f64>>> {
-    aggregate_filtered_with(input, arity, row_filter, Parallelism::default(), None)
-}
-
-/// [`aggregate_filtered`] with an explicit thread budget and optional
-/// counters. Runs on the same chunked phase-1 kernel as [`cube_pass`]
-/// (keyed by dense item index alone), so it inherits the bit-identical
-/// determinism guarantee.
-pub fn aggregate_filtered_with(
-    input: &CubeInput,
-    arity: usize,
-    row_filter: impl Fn(&[u32]) -> bool + Sync,
-    par: Parallelism,
-    stats: Option<&CubeStats>,
-) -> HashMap<i64, Vec<Option<f64>>> {
-    match stats {
-        Some(st) => aggregate_filtered_traced(input, arity, row_filter, par, st),
-        None => aggregate_filtered_traced(input, arity, row_filter, par, &NoopRecorder),
-    }
-}
-
-/// [`aggregate_filtered_with`] reporting into a [`Recorder`] (same
-/// `cube_pass/*` counter names; the scan+merge is timed under the
-/// `cube_pass/phase1_scan` and `cube_pass/phase1_merge` spans).
-pub fn aggregate_filtered_traced(
     input: &CubeInput,
     arity: usize,
     row_filter: impl Fn(&[u32]) -> bool + Sync,
     par: Parallelism,
     rec: &dyn Recorder,
 ) -> HashMap<i64, Vec<Option<f64>>> {
-    let n = input.item_ids.len();
-    assert_eq!(input.coords.len(), n * arity, "coords length mismatch");
-    for m in &input.measures {
-        m.check_len(n);
+    if let Err(e) = input.check_shape(arity) {
+        panic!("{e}");
     }
+    let n = input.rows();
     if n == 0 {
         return HashMap::new();
     }
 
-    let mut items: Vec<i64> = input.item_ids.clone();
-    items.sort_unstable();
-    items.dedup();
-    let item_index: FxMap<i64, u64> = items
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i as u64))
-        .collect();
-
-    let threads = par.threads_for(n.div_ceil(ROW_CHUNK));
+    let ks = KeySpace::over(Vec::new(), &input.item_ids).expect("item ids fit a u32 index");
+    let n_chunks = n.div_ceil(ROW_CHUNK);
+    let threads = par.threads_for(n_chunks);
     let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-        row_filter(coords).then(|| item_index[&input.item_ids[row]])
+        let item = input.item_ids[row];
+        row_filter(coords).then(|| ks.key(item, &[]).expect("items index themselves"))
     };
     let tables = {
         let _t = span!(rec, "cube_pass/phase1_scan");
-        scan_chunks(input, arity, threads, &key_of)
+        fold_chunks(input, arity, 0..n_chunks, threads, &key_of)
     };
     let (shards, merges) = {
         let _t = span!(rec, "cube_pass/phase1_merge");
-        merge_chunks(&tables, items.len() as u64, threads)
+        merge_chunks(&tables, ks.key_space(), threads)
     };
     let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
     rec.add(names::CUBE_PASS_ROWS_SCANNED, n as u64);
@@ -1623,7 +1858,7 @@ pub fn aggregate_filtered_traced(
     for t in &shards {
         for (i, &k) in t.keys.iter().enumerate() {
             out.insert(
-                items[k as usize],
+                ks.items[k as usize],
                 t.cols.iter().map(|c| c.finish_at(i)).collect(),
             );
         }
@@ -1635,6 +1870,8 @@ pub fn aggregate_filtered_traced(
 mod tests {
     use super::*;
     use crate::dimension::{Dimension, Hierarchy};
+    use bellwether_obs::NoopRecorder;
+    use bellwether_storage::CubeStats;
 
     fn space() -> RegionSpace {
         let mut loc = Hierarchy::new("Loc", "All");
@@ -1792,7 +2029,13 @@ mod tests {
         let inp = input();
         // Filter = the region [1-2, US]: time ≤ 1 (always true here) and
         // location under US (nodes 2 or 3).
-        let filtered = aggregate_filtered(&inp, 2, |c| c[0] <= 1 && (c[1] == 2 || c[1] == 3));
+        let filtered = aggregate_filtered(
+            &inp,
+            2,
+            |c| c[0] <= 1 && (c[1] == 2 || c[1] == 3),
+            Parallelism::default(),
+            &NoopRecorder,
+        );
         let cube = cube_pass(&s, &inp);
         let want = cube.features(&RegionId(vec![1, 1]), 1).unwrap();
         assert_eq!(filtered.get(&1).unwrap(), want);
@@ -1800,7 +2043,13 @@ mod tests {
 
     #[test]
     fn filtered_aggregation_empty_filter() {
-        let filtered = aggregate_filtered(&input(), 2, |_| false);
+        let filtered = aggregate_filtered(
+            &input(),
+            2,
+            |_| false,
+            Parallelism::default(),
+            &NoopRecorder,
+        );
         assert!(filtered.is_empty());
     }
 
@@ -1842,9 +2091,9 @@ mod tests {
     fn thread_count_never_changes_bits() {
         let s = space();
         let inp = input();
-        let base = cube_pass_with(&s, &inp, Parallelism::sequential(), None);
+        let base = cube_pass_traced(&s, &inp, Parallelism::sequential(), &NoopRecorder);
         for t in 2..=8 {
-            let par = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
+            let par = cube_pass_traced(&s, &inp, Parallelism::fixed(t), &NoopRecorder);
             assert_results_identical(&base, &par);
         }
     }
@@ -1896,9 +2145,38 @@ mod tests {
         };
         let reference = cube_pass_reference(&s, &inp);
         for t in 1..=4 {
-            let fast = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
+            let fast = cube_pass_traced(&s, &inp, Parallelism::fixed(t), &NoopRecorder);
             assert_results_identical(&fast, &reference);
         }
+    }
+
+    #[test]
+    fn run_merger_sparse_appends_then_hashes_like_dense() {
+        // Feeds that first append above every key, then land below the
+        // maximum (forcing the deferred tail into the hash index), must
+        // merge exactly like the dense table does.
+        let table = |keys: &[u64]| StateTable {
+            keys: keys.to_vec(),
+            cols: vec![StateCol::Count(keys.iter().map(|&k| k + 1).collect())],
+        };
+        let feeds: [&[u64]; 4] = [&[10, 20], &[30, 40], &[20, 35, 50], &[5, 60]];
+        let merge = |key_space: u64| {
+            let mut merger = RunMerger::new(0, 100, key_space);
+            for keys in feeds {
+                merger.push(&table(keys));
+            }
+            merger.finish()
+        };
+        let (sparse, sparse_merges) = merge(DENSE_SLOTS_MAX + 1);
+        let (dense, dense_merges) = merge(100);
+        assert_eq!(sparse.keys, vec![5, 10, 20, 30, 35, 40, 50, 60]);
+        assert_eq!((sparse_merges, dense_merges), (1, 1));
+        assert_eq!(sparse.keys, dense.keys);
+        assert_eq!(format!("{:?}", sparse.cols), format!("{:?}", dense.cols));
+        let StateCol::Count(counts) = &sparse.cols[0] else {
+            panic!("count column expected")
+        };
+        assert_eq!(counts, &vec![6, 11, 42, 31, 36, 41, 51, 61]);
     }
 
     #[test]
@@ -1922,7 +2200,7 @@ mod tests {
         };
         let reference = cube_pass_reference(&s, &inp);
         for t in [1usize, 3] {
-            let fast = cube_pass_with(&s, &inp, Parallelism::fixed(t), None);
+            let fast = cube_pass_traced(&s, &inp, Parallelism::fixed(t), &NoopRecorder);
             assert_results_identical(&fast, &reference);
         }
     }
@@ -1949,7 +2227,7 @@ mod tests {
         let s = space();
         let inp = input();
         let stats = CubeStats::shared();
-        let r = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
+        let r = cube_pass_traced(&s, &inp, Parallelism::fixed(2), stats.as_ref());
         let snap = stats.snapshot();
         assert_eq!(snap.rows_scanned(), 4);
         // 4 rows in 4 distinct (cell, item) combinations → no phase-1
@@ -1966,7 +2244,7 @@ mod tests {
         let reg = bellwether_obs::Registry::shared();
         let r = cube_pass_traced(&s, &inp, Parallelism::fixed(2), reg.as_ref());
         let stats = CubeStats::shared();
-        let legacy = cube_pass_with(&s, &inp, Parallelism::fixed(2), Some(&stats));
+        let legacy = cube_pass_traced(&s, &inp, Parallelism::fixed(2), stats.as_ref());
         assert_results_identical(&r, &legacy);
         let snap = reg.snapshot();
         let legacy_snap = stats.snapshot();
@@ -1986,19 +2264,19 @@ mod tests {
     fn filtered_aggregation_stats_and_threads() {
         let inp = input();
         let stats = CubeStats::shared();
-        let seq = aggregate_filtered_with(
+        let seq = aggregate_filtered(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::sequential(),
-            None,
+            &NoopRecorder,
         );
-        let par = aggregate_filtered_with(
+        let par = aggregate_filtered(
             &inp,
             2,
             |c| c[1] == 2 || c[1] == 3,
             Parallelism::fixed(4),
-            Some(&stats),
+            stats.as_ref(),
         );
         assert_eq!(seq.len(), par.len());
         for (item, values) in &seq {

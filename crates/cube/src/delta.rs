@@ -1,22 +1,24 @@
 //! Incremental (delta) CUBE maintenance: `O(Δ)` appends instead of
-//! full rebuilds.
+//! full rebuilds — the streaming run policy of the CUBE engine.
 //!
-//! [`StreamingCube`] retains the phase-1 base-cell state of the
-//! in-memory kernel ([`crate::cube_pass`]) between batches of fact
-//! rows. An append folds **only the new rows** into chunk tables,
-//! merges them into the retained state in the kernel's own
-//! deterministic chunk order, and re-rolls up **only the regions whose
+//! [`StreamingCube`] is the engine of [`crate::cube_pass`] with **one
+//! retained run**. Between batches it keeps the run's merged base-cell
+//! state; an append folds **only the new rows** with the engine's
+//! chunk fold, takes each completed chunk into the retained run in
+//! place, in chunk order, and re-rolls up **only the regions whose
 //! sufficient statistics changed** (the *dirty set*) through the
-//! region-key-filtered phase 2.
+//! region-key-filtered phase 2. Rows are checked by the engine's one
+//! key function, the same check whether they arrive in the base input
+//! or in an append.
 //!
 //! # Delta algebra
 //!
 //! Theorem 1's sufficient statistic is mergeable, and the kernel's
 //! accumulators are exactly that statistic in columnar form. The
-//! retained `complete` table is the left fold of every *completed*
+//! retained `complete` run is the left fold of every *completed*
 //! [`ROW_CHUNK`]-row chunk of the concatenated stream, merged in
 //! ascending chunk order with the same copy-first semantics as the
-//! cold `merge_chunks`; rows past the last chunk boundary wait in a
+//! cold run merger; rows past the last chunk boundary wait in a
 //! `pending` tail (< one chunk) and are folded as the partial final
 //! chunk of each rollup. Per `(cell, item)` slot the update sequence is
 //! therefore *identical* to a cold pass over the concatenated data —
@@ -40,12 +42,12 @@
 //! universe of item ids is pinned at construction (a superset of the
 //! base input's items is fine). A superset universe never changes the
 //! output: keys order by `(cell, item-rank)` either way, and items
-//! without data are never emitted. Appending a row whose item is
-//! outside the universe is an error.
+//! without data are never emitted. A row whose item is outside the
+//! universe, in the base input or an append, is an error.
 
 use crate::cube_pass::{
     ancestor_key_tables, chunk_range, dedup_pairs, expand_rollup, expansion_keys, fold_chunk,
-    CubeInput, CubeResult, KeySpace, Measure, StateCol, StateTable, ROW_CHUNK,
+    CubeInput, CubeResult, KeySpace, StateCol, StateTable, ROW_CHUNK,
 };
 use crate::parallel::Parallelism;
 use crate::region::{RegionId, RegionSpace};
@@ -96,107 +98,6 @@ fn merge_delta_into(dst: &mut StateTable, src: &StateTable) {
     // an earlier part of the key space; `sort_by_key` is an O(n)
     // is-sorted check in the common append-at-the-end case.
     dst.sort_by_key();
-}
-
-/// Append every row of `src` onto `dst` (same arity, same measure
-/// shape — validated by the caller).
-fn extend_input(dst: &mut CubeInput, src: &CubeInput) {
-    dst.item_ids.extend_from_slice(&src.item_ids);
-    dst.coords.extend_from_slice(&src.coords);
-    for (dm, sm) in dst.measures.iter_mut().zip(&src.measures) {
-        match (dm, sm) {
-            (Measure::Numeric { values, .. }, Measure::Numeric { values: sv, .. }) => {
-                values.extend_from_slice(sv);
-            }
-            (
-                Measure::DistinctKeyed { keys, values, .. },
-                Measure::DistinctKeyed {
-                    keys: sk,
-                    values: sv,
-                    ..
-                },
-            ) => {
-                keys.extend_from_slice(sk);
-                values.extend_from_slice(sv);
-            }
-            _ => unreachable!("measure shapes validated before extend"),
-        }
-    }
-}
-
-/// Drop the first `rows` rows of `input` in place.
-fn drain_rows(input: &mut CubeInput, rows: usize, arity: usize) {
-    input.item_ids.drain(..rows);
-    input.coords.drain(..rows * arity);
-    for m in &mut input.measures {
-        match m {
-            Measure::Numeric { values, .. } => {
-                values.drain(..rows);
-            }
-            Measure::DistinctKeyed { keys, values, .. } => {
-                keys.drain(..rows);
-                values.drain(..rows);
-            }
-        }
-    }
-}
-
-/// An empty input with the same arity and measure shape as `like`.
-fn empty_like(like: &CubeInput) -> CubeInput {
-    CubeInput {
-        item_ids: Vec::new(),
-        coords: Vec::new(),
-        measures: like
-            .measures
-            .iter()
-            .map(|m| match m {
-                Measure::Numeric { name, func, .. } => Measure::Numeric {
-                    name: name.clone(),
-                    func: *func,
-                    values: Vec::new(),
-                },
-                Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
-                    name: name.clone(),
-                    func: *func,
-                    keys: Vec::new(),
-                    values: Vec::new(),
-                },
-            })
-            .collect(),
-    }
-}
-
-/// `Err` with a shape description unless `delta`'s measures line up
-/// with `base`'s (same count, names, kinds and functions).
-fn check_measure_shape(base: &CubeInput, delta: &CubeInput) -> Result<(), String> {
-    if base.measures.len() != delta.measures.len() {
-        return Err(format!(
-            "append has {} measures, stream has {}",
-            delta.measures.len(),
-            base.measures.len()
-        ));
-    }
-    for (b, d) in base.measures.iter().zip(&delta.measures) {
-        let ok = match (b, d) {
-            (
-                Measure::Numeric { name, func, .. },
-                Measure::Numeric {
-                    name: dn, func: df, ..
-                },
-            ) => name == dn && func == df,
-            (
-                Measure::DistinctKeyed { name, func, .. },
-                Measure::DistinctKeyed {
-                    name: dn, func: df, ..
-                },
-            ) => name == dn && func == df,
-            _ => false,
-        };
-        if !ok {
-            return Err(format!("measure {:?} does not match the stream", d.name()));
-        }
-    }
-    Ok(())
 }
 
 /// The outcome of one [`StreamingCube::append`]: which regions changed.
@@ -260,36 +161,37 @@ pub struct StreamingCube {
 impl StreamingCube {
     /// Build the stream from its base input and a pinned item
     /// universe (must contain every item id the stream will ever see;
-    /// a superset never changes any output bit). Returns `None` when
-    /// the dense key encoding cannot cover `space` × universe — the
-    /// caller then stays on cold rebuilds.
+    /// a superset never changes any output bit). The base input is
+    /// checked exactly like an append. `Err` names the first bad row,
+    /// or says the dense key encoding cannot cover `space` × universe —
+    /// the caller then stays on cold rebuilds.
     pub fn new(
         space: &RegionSpace,
         input: &CubeInput,
         item_universe: &[i64],
         par: Parallelism,
-    ) -> Option<StreamingCube> {
-        let ks = KeySpace::build(space, item_universe)?;
-        let anc_keys = ancestor_key_tables(space, &ks);
-        let measure_names = input.measures.iter().map(|m| m.name().to_string()).collect();
+    ) -> Result<StreamingCube, String> {
+        let ks = KeySpace::build(space, item_universe)
+            .ok_or("region × item key space too large for dense delta keys")?;
         let mut stream = StreamingCube {
             space: space.clone(),
+            anc_keys: ancestor_key_tables(space, &ks),
             ks,
-            anc_keys,
             complete: StateTable {
                 keys: Vec::new(),
                 cols: Vec::new(),
             },
-            pending: empty_like(input),
+            pending: input.empty_like(),
             rows_total: 0,
             par,
             result: CubeResult {
-                measure_names,
+                measure_names: input.measure_names(),
                 regions: HashMap::new(),
             },
         };
-        stream.ingest(input).ok()?;
-        if !input.item_ids.is_empty() {
+        stream.dirty_cells(input)?;
+        stream.ingest(input);
+        if input.rows() > 0 {
             let table = stream.rollup_table();
             let (regions, _) = expand_rollup(
                 &stream.space,
@@ -300,7 +202,7 @@ impl StreamingCube {
             );
             stream.result.regions = regions;
         }
-        Some(stream)
+        Ok(stream)
     }
 
     /// Append a batch of fact rows and patch the retained result.
@@ -308,8 +210,8 @@ impl StreamingCube {
     /// rescan of old chunks. Errors (shape mismatch, unknown item,
     /// out-of-range coordinate) leave the stream unchanged.
     pub fn append(&mut self, delta: &CubeInput) -> Result<DeltaUpdate, String> {
-        let rows = delta.item_ids.len();
-        let dirty_cells = self.validate(delta)?;
+        let rows = delta.rows();
+        let dirty_cells = self.dirty_cells(delta)?;
         if rows == 0 {
             return Ok(DeltaUpdate {
                 dirty_regions: Vec::new(),
@@ -317,7 +219,7 @@ impl StreamingCube {
                 cells_dirtied: 0,
             });
         }
-        self.ingest(delta).map_err(|e| e.to_string())?;
+        self.ingest(delta);
 
         // Expand dirty cells to dirty region keys.
         let mut dirty_keys: Vec<u64> = Vec::new();
@@ -384,58 +286,48 @@ impl StreamingCube {
         self.par.threads_for(self.rows_total.div_ceil(ROW_CHUNK).max(1))
     }
 
-    /// Validate a batch and return its distinct dirty cell keys.
-    fn validate(&self, delta: &CubeInput) -> Result<Vec<u64>, String> {
+    /// Check a batch against the stream — shape, measure schema, and
+    /// every row through the engine's key function — and return its
+    /// distinct dirty cell keys.
+    fn dirty_cells(&self, batch: &CubeInput) -> Result<Vec<u64>, String> {
         let arity = self.space.arity();
-        let rows = delta.item_ids.len();
-        if delta.coords.len() != rows * arity {
-            return Err("append coords length mismatch".to_string());
-        }
-        check_measure_shape(&self.pending, delta)?;
-        for m in &delta.measures {
-            m.check_len(rows);
-        }
-        let mut cells: Vec<u64> = Vec::with_capacity(rows);
-        for row in 0..rows {
-            let id = delta.item_ids[row];
-            if !self.ks.item_index.contains_key(&id) {
-                return Err(format!("item {id} is outside the pinned item universe"));
-            }
-            let coords = &delta.coords[row * arity..(row + 1) * arity];
-            for (d, (&c, &nv)) in coords.iter().zip(&self.ks.num_values).enumerate() {
-                if c as u64 >= nv {
-                    return Err(format!("coordinate {c} out of range on dimension {d}"));
-                }
-            }
-            cells.push(self.ks.cell_key(coords));
-        }
+        batch.check_shape(arity)?;
+        self.pending.check_schema(batch)?;
+        let mut cells = (0..batch.rows())
+            .map(|row| {
+                let coords = &batch.coords[row * arity..(row + 1) * arity];
+                Ok(self.ks.key(batch.item_ids[row], coords)? / self.ks.n_items)
+            })
+            .collect::<Result<Vec<u64>, String>>()?;
         cells.sort_unstable();
         cells.dedup();
         Ok(cells)
     }
 
-    /// Fold `delta` into the stream: extend the pending tail, then
-    /// extract every completed chunk into `complete` in chunk order.
-    fn ingest(&mut self, delta: &CubeInput) -> Result<(), String> {
-        extend_input(&mut self.pending, delta);
-        self.rows_total += delta.item_ids.len();
-        let arity = self.space.arity();
-        while self.pending.item_ids.len() >= ROW_CHUNK {
-            let chunk = self.fold_pending(chunk_range(0, ROW_CHUNK));
-            merge_delta_into(&mut self.complete, &chunk);
-            drain_rows(&mut self.pending, ROW_CHUNK, arity);
+    /// Fold a checked batch into the stream: extend the pending tail,
+    /// then take every completed chunk into `complete` in chunk order.
+    fn ingest(&mut self, batch: &CubeInput) {
+        self.pending.extend(batch);
+        self.rows_total += batch.rows();
+        let full = self.pending.rows() / ROW_CHUNK;
+        for chunk in 0..full {
+            let table = self.fold_pending(chunk);
+            merge_delta_into(&mut self.complete, &table);
         }
-        Ok(())
+        self.pending
+            .drain_front(full * ROW_CHUNK, self.space.arity());
     }
 
-    /// Fold a row range of the pending tail into a chunk table.
-    fn fold_pending(&self, rows: std::ops::Range<usize>) -> StateTable {
-        let ks = &self.ks;
-        let pending = &self.pending;
+    /// Fold one chunk of the pending tail (the last may be partial).
+    fn fold_pending(&self, chunk: usize) -> StateTable {
+        let (ks, pending) = (&self.ks, &self.pending);
         let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-            let item_idx = ks.item_index[&pending.item_ids[row]];
-            Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
+            Some(
+                ks.key(pending.item_ids[row], coords)
+                    .expect("rows checked on entry"),
+            )
         };
+        let rows = chunk_range(chunk, pending.rows());
         fold_chunk(pending, self.space.arity(), rows, &key_of)
     }
 
@@ -443,12 +335,10 @@ impl StreamingCube {
     /// tail folded as the partial final chunk — exactly the chunk
     /// sequence a cold pass over the concatenated data merges.
     fn rollup_table(&self) -> StateTable {
-        if self.pending.item_ids.is_empty() {
-            return self.complete.clone();
-        }
-        let tail = self.fold_pending(0..self.pending.item_ids.len());
         let mut table = self.complete.clone();
-        merge_delta_into(&mut table, &tail);
+        if self.pending.rows() > 0 {
+            merge_delta_into(&mut table, &self.fold_pending(0));
+        }
         table
     }
 }
@@ -456,8 +346,9 @@ impl StreamingCube {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube_pass::cube_pass_with;
+    use crate::cube_pass::{cube_pass_traced, Measure};
     use crate::dimension::{Dimension, Hierarchy};
+    use bellwether_obs::NoopRecorder;
     use bellwether_table::ops::AggFunc;
 
     fn space() -> RegionSpace {
@@ -570,8 +461,8 @@ mod tests {
                 let delta = gen_input(100 + i as u64, *rows, &items);
                 let update = stream.append(&delta).unwrap();
                 assert_eq!(update.rows_appended, *rows);
-                extend_input(&mut concat, &delta);
-                let cold = cube_pass_with(&space, &concat, par, None);
+                concat.extend(&delta);
+                let cold = cube_pass_traced(&space, &concat, par, &NoopRecorder);
                 assert_same(stream.result(), &cold);
             }
             assert_eq!(stream.rows(), 700 + 900 + 3000 + 1 + 650 + 4096 + 77);
@@ -586,13 +477,16 @@ mod tests {
         let base = gen_input(3, 300, &items);
         let par = Parallelism::fixed(1);
         let mut stream = StreamingCube::new(&space, &base, &universe, par).unwrap();
-        let cold = cube_pass_with(&space, &base, par, None);
+        let cold = cube_pass_traced(&space, &base, par, &NoopRecorder);
         assert_same(stream.result(), &cold);
         let delta = gen_input(4, 500, &items);
         stream.append(&delta).unwrap();
         let mut concat = base.clone();
-        extend_input(&mut concat, &delta);
-        assert_same(stream.result(), &cube_pass_with(&space, &concat, par, None));
+        concat.extend(&delta);
+        assert_same(
+            stream.result(),
+            &cube_pass_traced(&space, &concat, par, &NoopRecorder),
+        );
     }
 
     #[test]
@@ -604,7 +498,7 @@ mod tests {
             StreamingCube::new(&space, &base, &items, Parallelism::fixed(1)).unwrap();
         // One row in week 2 at leaf WI (coords [2, 2]): dirty regions
         // are exactly (intervals containing week 2) × {WI, US, All}.
-        let mut delta = empty_like(&base);
+        let mut delta = base.empty_like();
         delta.item_ids.push(3);
         delta.coords.extend_from_slice(&[2, 2]);
         for m in &mut delta.measures {
@@ -655,12 +549,44 @@ mod tests {
     fn empty_base_then_appends() {
         let space = space();
         let items: Vec<i64> = (0..8).collect();
-        let empty = empty_like(&gen_input(0, 1, &items));
+        let empty = gen_input(0, 1, &items).empty_like();
         let par = Parallelism::fixed(2);
         let mut stream = StreamingCube::new(&space, &empty, &items, par).unwrap();
         assert!(stream.result().regions.is_empty());
         let delta = gen_input(21, 450, &items);
         stream.append(&delta).unwrap();
-        assert_same(stream.result(), &cube_pass_with(&space, &delta, par, None));
+        assert_same(
+            stream.result(),
+            &cube_pass_traced(&space, &delta, par, &NoopRecorder),
+        );
+    }
+
+    #[test]
+    fn base_coordinate_out_of_range_is_rejected() {
+        // Leaf nodes are 0..4; node 4 does not exist. The base row must
+        // be refused like an appended one, not filed under another cell.
+        let space = space();
+        let items: Vec<i64> = (0..8).collect();
+        let mut base = gen_input(31, 50, &items);
+        base.coords[7] = 4;
+        let err = StreamingCube::new(&space, &base, &items, Parallelism::fixed(1))
+            .err()
+            .expect("out-of-range base row must be rejected");
+        assert!(err.contains("out of range on dimension 1"), "{err}");
+    }
+
+    #[test]
+    fn base_item_outside_universe_is_rejected() {
+        let space = space();
+        let items: Vec<i64> = (0..8).collect();
+        let mut base = gen_input(32, 50, &items);
+        base.item_ids[3] = 999;
+        let err = StreamingCube::new(&space, &base, &items, Parallelism::fixed(1))
+            .err()
+            .expect("unknown base item must be rejected");
+        assert!(
+            err.contains("item 999") && err.contains("universe"),
+            "{err}"
+        );
     }
 }

@@ -1,36 +1,37 @@
-//! Memory-budgeted external CUBE pass: the `cube_pass` kernel for fact
-//! tables whose phase-1 state does not fit in RAM.
+//! The external run policy: the CUBE engine of [`crate::cube_pass`] for
+//! fact tables whose phase-1 state does not fit in RAM.
 //!
 //! # Run discipline
 //!
-//! Fact rows are folded in the usual fixed [`ROW_CHUNK`] chunks, but
-//! instead of keeping every chunk table alive until one global merge,
-//! chunks are grouped into **runs** of a fixed [`RUN_CHUNKS`] chunks
-//! (the last run may be short). Each completed run is merged with the
-//! in-memory kernel's own `merge_chunks` into a key-sorted state run.
-//! The byte budget then decides only *where* completed runs live: when
-//! the resident runs exceed the budget, the oldest ones are serialized
-//! to temp files (a `shard/spills` counter per run, `shard/spill_bytes`
-//! for volume) until the budget holds again. Finally all runs — spilled
-//! and resident alike, in formation order — are k-way merged by key
-//! into sorted output segments and rolled up by the ordinary
-//! `expand_rollup`.
+//! The engine folds fact rows in its usual fixed
+//! [`ROW_CHUNK`](crate::cube_pass::ROW_CHUNK)-row chunks and
+//! closes a **run** every [`RUN_CHUNKS`] chunks (the last run may be
+//! short), merging it with the same run merger the cold pass uses — a
+//! cold pass is this policy with one run over every chunk and no
+//! budget. A `RunStore` then decides only *where* completed runs live:
+//! when the resident runs exceed the byte budget, the oldest ones are
+//! serialized to temp files (a `shard/spills` counter per run,
+//! `shard/spill_bytes` for volume) until the budget holds again.
+//! Finally every run — spilled and resident alike — is fed, in formation
+//! order, into one run merger over the whole key space (a resident run
+//! table by table, a spilled one frame by frame) and the merged base
+//! cells are rolled up by the ordinary rollup.
 //!
 //! # Determinism
 //!
 //! Run boundaries are a function of the input alone ([`RUN_CHUNKS`]
 //! chunks each), never of the budget or thread count. The budget picks
 //! between two bit-exact representations of the same run — the
-//! in-memory [`StateTable`]s or their serialized form, which round-trips
+//! in-memory `StateTable`s or their serialized form, which round-trips
 //! every accumulator exactly (`f64` bits, integer counts, the
-//! key-sorted distinct pair lists) — so the k-way merge consumes
-//! identical per-run state sequences either way. Per output key the
-//! merge folds contributions in ascending run order (copy the first,
-//! merge the rest), the same copy-first, earlier-chunks-first order the
-//! in-memory kernel uses, and distinct lanes restore their keep-last
-//! dedup invariant per closed segment. Hence the acceptance property:
-//! **a spill-forced pass (tiny budget) and an unlimited-budget pass are
-//! bit-identical**, at any thread count.
+//! key-sorted distinct pair lists) — so the final merge is fed identical
+//! per-run state either way. The merger folds each key's contributions
+//! in feed order (copy the first, merge the rest), which is ascending
+//! run order: the same copy-first, earlier-chunks-first discipline it
+//! applies to the chunks of one run. Distinct lanes restore their
+//! keep-last dedup invariant once, when the merge finishes. Hence the
+//! acceptance property: **a spill-forced pass (tiny budget) and an
+//! unlimited-budget pass are bit-identical**, at any thread count.
 //!
 //! The budget bounds the *aggregation state* (completed runs). Two
 //! allocations are intentionally outside it: the transient chunk tables
@@ -40,15 +41,11 @@
 //! `#finest-cells × #items` — the aggregate itself, which must fit to
 //! be useful, independent of how many fact rows collapsed into it.
 
-use crate::cube_pass::{
-    chunk_range, cube_pass_reference, expand_rollup, fold_chunk, merge_chunks, CubeInput,
-    CubeResult, KeySpace, Measure, StateCol, StateTable, ROW_CHUNK,
-};
+use crate::cube_pass::{run_pass, CubeInput, CubeResult, RunMerger, StateCol, StateTable};
 use crate::parallel::Parallelism;
 use crate::region::RegionSpace;
 use bellwether_obs::{names, span, Recorder};
 use bellwether_table::ops::AggFunc;
-use std::collections::HashMap;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::PathBuf;
@@ -59,12 +56,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// spill-vs-resident choice cannot change a single output bit.
 pub const RUN_CHUNKS: usize = 64;
 
-/// Cells per serialized spill frame.
+/// Cells per serialized spill frame (also the decoder's bound on a
+/// frame's cell count).
 const FRAME_CELLS: usize = 4096;
-
-/// Cells per output segment of the final k-way merge (the rollup
-/// tolerates any ascending segmentation).
-const SEGMENT_CELLS: usize = 1 << 16;
 
 /// Pass with no byte budget: nothing ever spills.
 pub const UNLIMITED_BUDGET: usize = usize::MAX;
@@ -124,14 +118,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append one column's lanes for cells `lo..hi` to the frame buffer.
 fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
     match col {
@@ -139,7 +125,7 @@ fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
         | StateCol::Min { vals: totals, seen }
         | StateCol::Max { vals: totals, seen } => {
             for &v in &totals[lo..hi] {
-                put_f64(out, v);
+                put_u64(out, v.to_bits());
             }
             out.extend(seen[lo..hi].iter().map(|&b| b as u8));
         }
@@ -150,7 +136,7 @@ fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
         }
         StateCol::Avg { totals, counts } => {
             for &v in &totals[lo..hi] {
-                put_f64(out, v);
+                put_u64(out, v.to_bits());
             }
             for &v in &counts[lo..hi] {
                 put_u64(out, v);
@@ -160,8 +146,8 @@ fn encode_lanes(col: &StateCol, lo: usize, hi: usize, out: &mut Vec<u8>) {
             for list in &pairs[lo..hi] {
                 put_u32(out, list.len() as u32);
                 for &(k, v) in list {
-                    put_i64(out, k);
-                    put_f64(out, v);
+                    put_u64(out, k as u64);
+                    put_u64(out, v.to_bits());
                 }
             }
         }
@@ -210,26 +196,45 @@ fn write_run(path: &PathBuf, shards: &[StateTable]) -> io::Result<u64> {
     Ok(bytes)
 }
 
+/// Decoder of one spill run. Every length field is bounded before it
+/// sizes an allocation: a frame's cell count by [`FRAME_CELLS`], any
+/// other length by the bytes left in the file, so a corrupt file fails
+/// with `InvalidData` instead of requesting gigabytes.
 struct FrameReader {
     r: BufReader<File>,
+    /// Bytes of the file not yet read.
+    left: u64,
     schema: Vec<(u8, u8)>,
 }
 
 impl FrameReader {
-    fn u32(&mut self) -> io::Result<u32> {
-        let mut b = [0u8; 4];
-        self.r.read_exact(&mut b)?;
-        Ok(u32::from_le_bytes(b))
+    /// Account for `n` more bytes, or fail if the file has fewer left.
+    fn take(&mut self, n: u64) -> io::Result<usize> {
+        if n > self.left {
+            return invalid(format!(
+                "spill run wants {n} more bytes but only {} are left",
+                self.left
+            ));
+        }
+        self.left -= n;
+        Ok(n as usize)
     }
 
-    fn bytes(&mut self, n: usize) -> io::Result<Vec<u8>> {
-        let mut v = vec![0u8; n];
+    fn bytes(&mut self, n: u64) -> io::Result<Vec<u8>> {
+        let mut v = vec![0u8; self.take(n)?];
         self.r.read_exact(&mut v)?;
         Ok(v)
     }
 
+    fn u32(&mut self) -> io::Result<u32> {
+        let mut b = [0u8; 4];
+        self.take(4)?;
+        self.r.read_exact(&mut b)?;
+        Ok(u32::from_le_bytes(b))
+    }
+
     fn u64s(&mut self, n: usize) -> io::Result<Vec<u64>> {
-        let raw = self.bytes(n * 8)?;
+        let raw = self.bytes(n as u64 * 8)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
@@ -241,16 +246,18 @@ impl FrameReader {
     }
 
     fn bools(&mut self, n: usize) -> io::Result<Vec<bool>> {
-        Ok(self.bytes(n)?.into_iter().map(|b| b != 0).collect())
+        Ok(self.bytes(n as u64)?.into_iter().map(|b| b != 0).collect())
     }
 
     fn open(path: &PathBuf) -> io::Result<FrameReader> {
+        let file = File::open(path)?;
         let mut fr = FrameReader {
-            r: BufReader::new(File::open(path)?),
+            left: file.metadata()?.len(),
+            r: BufReader::new(file),
             schema: Vec::new(),
         };
-        let n_cols = fr.u32()? as usize;
-        let raw = fr.bytes(n_cols * 2)?;
+        let n_cols = fr.u32()?;
+        let raw = fr.bytes(n_cols as u64 * 2)?;
         fr.schema = raw.chunks_exact(2).map(|c| (c[0], c[1])).collect();
         Ok(fr)
     }
@@ -261,6 +268,11 @@ impl FrameReader {
         let n = self.u32()? as usize;
         if n == 0 {
             return Ok(None);
+        }
+        if n > FRAME_CELLS {
+            return invalid(format!(
+                "spill frame claims {n} cells, more than {FRAME_CELLS}"
+            ));
         }
         let keys = self.u64s(n)?;
         let schema = self.schema.clone();
@@ -284,8 +296,8 @@ impl FrameReader {
                 5 => {
                     let mut pairs = Vec::with_capacity(n);
                     for _ in 0..n {
-                        let len = self.u32()? as usize;
-                        let raw = self.bytes(len * 16)?;
+                        let len = self.u32()?;
+                        let raw = self.bytes(len as u64 * 16)?;
                         pairs.push(
                             raw.chunks_exact(16)
                                 .map(|c| {
@@ -313,14 +325,14 @@ impl FrameReader {
 }
 
 // ---------------------------------------------------------------------
-// Runs and cursors
+// The run store
 // ---------------------------------------------------------------------
 
 /// One completed run: merged, key-sorted state, either in memory or in
 /// a spill file.
 enum Run {
-    Resident { shards: Vec<StateTable>, bytes: usize },
-    Spilled { path: PathBuf },
+    Resident(Vec<StateTable>),
+    Spilled(PathBuf),
 }
 
 /// Approximate resident size of one table (budget accounting).
@@ -347,10 +359,6 @@ struct SpillDir {
 }
 
 impl SpillDir {
-    fn new() -> SpillDir {
-        SpillDir { dir: None, seq: 0 }
-    }
-
     fn next_path(&mut self) -> io::Result<PathBuf> {
         if self.dir.is_none() {
             static PASS_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -380,228 +388,78 @@ impl Drop for SpillDir {
     }
 }
 
-/// Streaming view of one run's cells in ascending key order, uniform
-/// over resident and spilled runs.
-struct RunCursor {
-    source: CursorSource,
-    frame: Option<StateTable>,
-    pos: usize,
+/// Where the engine's completed runs live: resident while they fit the
+/// byte budget, the oldest spilled to temp files when they do not.
+pub(crate) struct RunStore {
+    budget: usize,
+    runs: Vec<Run>,
+    resident_bytes: usize,
+    spill_dir: SpillDir,
 }
 
-enum CursorSource {
-    Resident(std::vec::IntoIter<StateTable>),
-    Spilled(FrameReader),
-}
-
-impl RunCursor {
-    fn open(run: Run) -> io::Result<RunCursor> {
-        let source = match run {
-            Run::Resident { shards, .. } => CursorSource::Resident(shards.into_iter()),
-            Run::Spilled { path } => CursorSource::Spilled(FrameReader::open(&path)?),
-        };
-        let mut cur = RunCursor {
-            source,
-            frame: None,
-            pos: 0,
-        };
-        cur.load_frame()?;
-        Ok(cur)
-    }
-
-    /// Pull frames until one is non-empty or the run is exhausted.
-    fn load_frame(&mut self) -> io::Result<()> {
-        self.pos = 0;
-        loop {
-            let next = match &mut self.source {
-                CursorSource::Resident(it) => it.next(),
-                CursorSource::Spilled(r) => r.next_frame()?,
-            };
-            match next {
-                Some(t) if t.len() == 0 => continue,
-                other => {
-                    self.frame = other;
-                    return Ok(());
-                }
-            }
+impl RunStore {
+    /// A store holding at most `budget` bytes of resident runs
+    /// ([`UNLIMITED_BUDGET`] never spills).
+    pub(crate) fn new(budget: usize) -> RunStore {
+        RunStore {
+            budget,
+            runs: Vec::new(),
+            resident_bytes: 0,
+            spill_dir: SpillDir { dir: None, seq: 0 },
         }
     }
 
-    fn peek(&self) -> Option<u64> {
-        self.frame.as_ref().map(|t| t.keys[self.pos])
-    }
-
-    fn advance(&mut self) -> io::Result<()> {
-        self.pos += 1;
-        if let Some(t) = &self.frame {
-            if self.pos >= t.len() {
-                self.load_frame()?;
+    /// Keep a completed run (its key-range shards, in key order), then
+    /// spill the oldest resident runs until the budget holds.
+    pub(crate) fn push(&mut self, shards: Vec<StateTable>, rec: &dyn Recorder) -> io::Result<()> {
+        if self.budget != UNLIMITED_BUDGET {
+            self.resident_bytes += shards.iter().map(table_bytes).sum::<usize>();
+        }
+        self.runs.push(Run::Resident(shards));
+        for run in &mut self.runs {
+            if self.resident_bytes <= self.budget {
+                break;
+            }
+            if let Run::Resident(shards) = run {
+                let path = self.spill_dir.next_path()?;
+                let written = write_run(&path, shards)?;
+                rec.add(names::SHARD_SPILLS, 1);
+                rec.add(names::SHARD_SPILL_BYTES, written);
+                self.resident_bytes -= shards.iter().map(table_bytes).sum::<usize>();
+                *run = Run::Spilled(path);
             }
         }
         Ok(())
     }
-}
 
-/// Append cell `i` of `src` as a fresh last slot of `dst` (the
-/// copy-first contribution).
-fn push_slot(dst: &mut StateCol, src: &StateCol, i: usize) {
-    match (dst, src) {
-        (StateCol::Sum { totals, seen }, StateCol::Sum { totals: st, seen: ss })
-        | (StateCol::Min { vals: totals, seen }, StateCol::Min { vals: st, seen: ss })
-        | (StateCol::Max { vals: totals, seen }, StateCol::Max { vals: st, seen: ss }) => {
-            totals.push(st[i]);
-            seen.push(ss[i]);
+    /// All base cells, key-sorted, and the cross-run merge count. A
+    /// single resident run is already merged — that is the cold pass;
+    /// otherwise every run is fed to one merger in formation order.
+    pub(crate) fn merge(
+        mut self,
+        key_space: u64,
+        rec: &dyn Recorder,
+    ) -> io::Result<(Vec<StateTable>, u64)> {
+        if let [Run::Resident(shards)] = self.runs.as_mut_slice() {
+            return Ok((std::mem::take(shards), 0));
         }
-        (StateCol::Count(c), StateCol::Count(sc)) => c.push(sc[i]),
-        (StateCol::Avg { totals, counts }, StateCol::Avg { totals: st, counts: sc }) => {
-            totals.push(st[i]);
-            counts.push(sc[i]);
-        }
-        (StateCol::Distinct { pairs, .. }, StateCol::Distinct { pairs: sp, .. }) => {
-            pairs.push(sp[i].clone());
-        }
-        _ => unreachable!("runs disagree on column kinds"),
-    }
-}
-
-/// Merge cell `i` of `src` into the last slot of `dst` (a later run's
-/// contribution to the same key).
-fn merge_slot_into_last(dst: &mut StateCol, src: &StateCol, i: usize) {
-    match (dst, src) {
-        (StateCol::Sum { totals, seen }, StateCol::Sum { totals: st, seen: ss }) => {
-            *totals.last_mut().expect("slot pushed") += st[i];
-            let s = seen.last_mut().expect("slot pushed");
-            *s |= ss[i];
-        }
-        (StateCol::Count(c), StateCol::Count(sc)) => {
-            *c.last_mut().expect("slot pushed") += sc[i];
-        }
-        (StateCol::Avg { totals, counts }, StateCol::Avg { totals: st, counts: sc }) => {
-            *totals.last_mut().expect("slot pushed") += st[i];
-            *counts.last_mut().expect("slot pushed") += sc[i];
-        }
-        (StateCol::Min { vals, seen }, StateCol::Min { vals: sv, seen: ss }) => {
-            if ss[i] {
-                let v = vals.last_mut().expect("slot pushed");
-                let s = seen.last_mut().expect("slot pushed");
-                *v = if *s { v.min(sv[i]) } else { sv[i] };
-                *s = true;
-            }
-        }
-        (StateCol::Max { vals, seen }, StateCol::Max { vals: sv, seen: ss }) => {
-            if ss[i] {
-                let v = vals.last_mut().expect("slot pushed");
-                let s = seen.last_mut().expect("slot pushed");
-                *v = if *s { v.max(sv[i]) } else { sv[i] };
-                *s = true;
-            }
-        }
-        (StateCol::Distinct { pairs, .. }, StateCol::Distinct { pairs: sp, .. }) => {
-            pairs.last_mut().expect("slot pushed").extend_from_slice(&sp[i]);
-        }
-        _ => unreachable!("runs disagree on column kinds"),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Input validation and fallback
-// ---------------------------------------------------------------------
-
-/// The (name, kind, func) shape of a measure, for schema equality.
-fn measure_shape(m: &Measure) -> (&str, u8, AggFunc) {
-    match m {
-        Measure::Numeric { name, func, .. } => (name, 0, *func),
-        Measure::DistinctKeyed { name, func, .. } => (name, 1, *func),
-    }
-}
-
-/// Concatenate fact inputs row-wise (the reference-kernel fallback; not
-/// out-of-core).
-fn concat_inputs(inputs: &[CubeInput]) -> CubeInput {
-    let mut out = CubeInput {
-        item_ids: Vec::new(),
-        coords: Vec::new(),
-        measures: inputs[0]
-            .measures
-            .iter()
-            .map(|m| match m {
-                Measure::Numeric { name, func, .. } => Measure::Numeric {
-                    name: name.clone(),
-                    func: *func,
-                    values: Vec::new(),
-                },
-                Measure::DistinctKeyed { name, func, .. } => Measure::DistinctKeyed {
-                    name: name.clone(),
-                    func: *func,
-                    keys: Vec::new(),
-                    values: Vec::new(),
-                },
-            })
-            .collect(),
-    };
-    for input in inputs {
-        out.item_ids.extend_from_slice(&input.item_ids);
-        out.coords.extend_from_slice(&input.coords);
-        for (dst, src) in out.measures.iter_mut().zip(&input.measures) {
-            match (dst, src) {
-                (
-                    Measure::Numeric { values, .. },
-                    Measure::Numeric { values: sv, .. },
-                ) => values.extend_from_slice(sv),
-                (
-                    Measure::DistinctKeyed { keys, values, .. },
-                    Measure::DistinctKeyed {
-                        keys: sk,
-                        values: sv,
-                        ..
-                    },
-                ) => {
-                    keys.extend_from_slice(sk);
-                    values.extend_from_slice(sv);
+        let _t = span!(rec, "cube_pass/external_merge");
+        rec.add(names::SHARD_RUNS_MERGED, self.runs.len() as u64);
+        let mut merger = RunMerger::new(0, key_space, key_space);
+        for run in std::mem::take(&mut self.runs) {
+            match run {
+                Run::Resident(shards) => shards.iter().for_each(|t| merger.push(t)),
+                Run::Spilled(path) => {
+                    let mut frames = FrameReader::open(&path)?;
+                    while let Some(frame) = frames.next_frame()? {
+                        merger.push(&frame);
+                    }
                 }
-                _ => unreachable!("schema checked by caller"),
             }
         }
+        let (table, merges) = merger.finish();
+        Ok((vec![table], merges))
     }
-    out
-}
-
-/// Fold chunks `chunks` of `input` in parallel; tables return in chunk
-/// order (identical to a sequential fold).
-fn fold_chunks_range<K>(
-    input: &CubeInput,
-    arity: usize,
-    chunks: std::ops::Range<usize>,
-    threads: usize,
-    key_of: &K,
-) -> Vec<StateTable>
-where
-    K: Fn(usize, &[u32]) -> Option<u64> + Sync,
-{
-    let n = input.item_ids.len();
-    if threads <= 1 || chunks.len() <= 1 {
-        return chunks
-            .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-            .collect();
-    }
-    let lo = chunks.start;
-    let count = chunks.len();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|w| {
-                let a = lo + count * w / threads;
-                let b = lo + count * (w + 1) / threads;
-                s.spawn(move || {
-                    (a..b)
-                        .map(|c| fold_chunk(input, arity, chunk_range(c, n), key_of))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("external cube fold worker panicked"))
-            .collect()
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -619,10 +477,10 @@ where
 /// compare like with like.
 ///
 /// Inputs must share one measure schema (names, kinds, functions, in
-/// order). When the dense key encoding overflows (`KeySpace` fails) the
-/// pass falls back to the tuple-keyed reference kernel over the
-/// concatenated input, which is *not* out-of-core — callers at scale
-/// should keep their key spaces within `u64` (the normal case).
+/// order). When the dense key encoding overflows the pass falls back to
+/// the tuple-keyed reference kernel over the concatenated input, which
+/// is *not* out-of-core — callers at scale should keep their key spaces
+/// within `u64` (the normal case).
 pub fn cube_pass_external(
     space: &RegionSpace,
     inputs: &[CubeInput],
@@ -630,233 +488,23 @@ pub fn cube_pass_external(
     budget_bytes: usize,
     rec: &dyn Recorder,
 ) -> io::Result<CubeResult> {
-    cube_pass_external_opts(space, inputs, par, budget_bytes, RUN_CHUNKS, rec)
-}
-
-/// [`cube_pass_external`] with an explicit run length (chunks per run).
-/// Production uses [`RUN_CHUNKS`]; tests shrink it to exercise
-/// multi-run merges on small inputs. Results are comparable only across
-/// passes with the *same* run length.
-pub(crate) fn cube_pass_external_opts(
-    space: &RegionSpace,
-    inputs: &[CubeInput],
-    par: Parallelism,
-    budget_bytes: usize,
-    run_chunks: usize,
-    rec: &dyn Recorder,
-) -> io::Result<CubeResult> {
-    assert!(run_chunks > 0, "run_chunks must be positive");
-    let arity = space.arity();
-    let Some(first) = inputs.first() else {
-        return Ok(CubeResult {
-            measure_names: Vec::new(),
-            regions: HashMap::new(),
-        });
-    };
-    let shape: Vec<(&str, u8, AggFunc)> = first.measures.iter().map(measure_shape).collect();
-    let mut total_rows = 0usize;
-    for (idx, input) in inputs.iter().enumerate() {
-        let n = input.item_ids.len();
-        assert_eq!(
-            input.coords.len(),
-            n * arity,
-            "input {idx}: coords length mismatch"
-        );
-        for m in &input.measures {
-            m.check_len(n);
-        }
-        let got: Vec<(&str, u8, AggFunc)> = input.measures.iter().map(measure_shape).collect();
-        assert_eq!(got, shape, "input {idx}: measure schema mismatch");
-        total_rows += n;
-    }
-    let measure_names: Vec<String> = first.measures.iter().map(|m| m.name().to_string()).collect();
-    if total_rows == 0 {
-        return Ok(CubeResult {
-            measure_names,
-            regions: HashMap::new(),
-        });
-    }
-
-    // Item domain over all inputs, deduplicated incrementally so the
-    // working set stays `O(#distinct items)`, not `O(rows)`.
-    let mut uniq: Vec<i64> = Vec::new();
-    for input in inputs {
-        uniq.extend_from_slice(&input.item_ids);
-        uniq.sort_unstable();
-        uniq.dedup();
-    }
-    let Some(ks) = KeySpace::build(space, &uniq) else {
-        return Ok(cube_pass_reference(space, &concat_inputs(inputs)));
-    };
-    drop(uniq);
-    let key_space = ks.cell_space * ks.n_items;
-    let threads = par.threads_for(total_rows.div_ceil(ROW_CHUNK));
-
-    // Phase 1: fold chunks into fixed-size runs, spilling the oldest
-    // resident runs whenever the budget is exceeded.
-    let mut spill_dir = SpillDir::new();
-    let mut runs: Vec<Run> = Vec::new();
-    let mut resident_bytes = 0usize;
-    let mut run_merges = 0u64;
-    {
-        let _t = span!(rec, "cube_pass/external_phase1");
-        let mut pending: Vec<StateTable> = Vec::new();
-        let mut close_run = |pending: &mut Vec<StateTable>,
-                             runs: &mut Vec<Run>,
-                             resident_bytes: &mut usize,
-                             run_merges: &mut u64|
-         -> io::Result<()> {
-            let (shards, merges) = merge_chunks(pending, key_space, threads);
-            pending.clear();
-            *run_merges += merges;
-            let bytes = shards.iter().map(table_bytes).sum::<usize>();
-            runs.push(Run::Resident { shards, bytes });
-            *resident_bytes += bytes;
-            if *resident_bytes > budget_bytes {
-                for run in runs.iter_mut() {
-                    if *resident_bytes <= budget_bytes {
-                        break;
-                    }
-                    if let Run::Resident { shards, bytes } = run {
-                        let path = spill_dir.next_path()?;
-                        let written = write_run(&path, shards)?;
-                        rec.add(names::SHARD_SPILLS, 1);
-                        rec.add(names::SHARD_SPILL_BYTES, written);
-                        *resident_bytes -= *bytes;
-                        *run = Run::Spilled { path };
-                    }
-                }
-            }
-            Ok(())
-        };
-
-        for input in inputs {
-            let n = input.item_ids.len();
-            let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-                for (d, (&c, &nv)) in coords.iter().zip(&ks.num_values).enumerate() {
-                    assert!(
-                        (c as u64) < nv,
-                        "coordinate {c} out of range on dimension {d}"
-                    );
-                }
-                let item_idx = ks.item_index[&input.item_ids[row]];
-                Some(ks.cell_key(coords) * ks.n_items + item_idx as u64)
-            };
-            let n_chunks = n.div_ceil(ROW_CHUNK);
-            let mut c = 0;
-            while c < n_chunks {
-                let take = (run_chunks - pending.len()).min(n_chunks - c);
-                let mut tables = fold_chunks_range(input, arity, c..c + take, threads, &key_of);
-                pending.append(&mut tables);
-                c += take;
-                if pending.len() == run_chunks {
-                    close_run(&mut pending, &mut runs, &mut resident_bytes, &mut run_merges)?;
-                }
-            }
-        }
-        if !pending.is_empty() {
-            close_run(&mut pending, &mut runs, &mut resident_bytes, &mut run_merges)?;
-        }
-    }
-
-    // Final merge: one sorted base-cell table from all runs, in run
-    // formation order. A single resident run needs no merge at all —
-    // it *is* the in-memory kernel's phase-1 output.
-    let mut final_merges = 0u64;
-    let shards: Vec<StateTable> = if runs.len() == 1
-        && matches!(runs[0], Run::Resident { .. })
-    {
-        match runs.pop().expect("one run") {
-            Run::Resident { shards, .. } => shards,
-            Run::Spilled { .. } => unreachable!("matched resident above"),
-        }
-    } else {
-        let _t = span!(rec, "cube_pass/external_merge");
-        rec.add(names::SHARD_RUNS_MERGED, runs.len() as u64);
-        let mut cursors = runs
-            .drain(..)
-            .map(RunCursor::open)
-            .collect::<io::Result<Vec<_>>>()?;
-        let template: Vec<StateCol> = cursors
-            .iter()
-            .find_map(|c| c.frame.as_ref())
-            .map(|t| t.cols.iter().map(|col| col.new_like(0)).collect())
-            .unwrap_or_default();
-        let fresh = |template: &[StateCol]| StateTable {
-            keys: Vec::new(),
-            cols: template.iter().map(|c| c.new_like(0)).collect(),
-        };
-        let mut segments: Vec<StateTable> = Vec::new();
-        let mut cur = fresh(&template);
-        loop {
-            let mut min: Option<u64> = None;
-            for c in &cursors {
-                if let Some(k) = c.peek() {
-                    min = Some(min.map_or(k, |m| m.min(k)));
-                }
-            }
-            let Some(key) = min else { break };
-            let mut first = true;
-            for c in cursors.iter_mut() {
-                while c.peek() == Some(key) {
-                    {
-                        let t = c.frame.as_ref().expect("peek returned Some");
-                        if first {
-                            cur.keys.push(key);
-                            for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                                push_slot(dst, src, c.pos);
-                            }
-                            first = false;
-                        } else {
-                            final_merges += 1;
-                            for (dst, src) in cur.cols.iter_mut().zip(&t.cols) {
-                                merge_slot_into_last(dst, src, c.pos);
-                            }
-                        }
-                    }
-                    c.advance()?;
-                }
-            }
-            if cur.len() >= SEGMENT_CELLS {
-                for col in &mut cur.cols {
-                    col.dedup_distinct();
-                }
-                segments.push(std::mem::replace(&mut cur, fresh(&template)));
-            }
-        }
-        if cur.len() > 0 {
-            for col in &mut cur.cols {
-                col.dedup_distinct();
-            }
-            segments.push(cur);
-        }
-        segments
-    };
-    let base_cells: u64 = shards.iter().map(|s| s.len() as u64).sum();
-
-    // Phase 2: the ordinary rollup (segmentation-tolerant).
-    let (regions, merges_2) = {
-        let _t = span!(rec, "cube_pass/phase2_rollup");
-        expand_rollup(space, &ks, &shards, threads, None)
-    };
-
-    rec.add(names::CUBE_PASS_ROWS_SCANNED, total_rows as u64);
-    rec.add(names::CUBE_PASS_BASE_CELLS, base_cells);
-    rec.add(
-        names::CUBE_PASS_CELL_MERGES,
-        run_merges + final_merges + merges_2,
-    );
-    rec.add(names::CUBE_PASS_REGIONS_EMITTED, regions.len() as u64);
-    Ok(CubeResult {
-        measure_names,
-        regions,
-    })
+    run_pass(
+        space,
+        inputs,
+        par,
+        RUN_CHUNKS,
+        RunStore::new(budget_bytes),
+        rec,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube_pass::cube_pass_with;
+    use crate::cube_pass::{
+        cube_pass_reference, cube_pass_traced, fold_chunks, merge_chunks, KeySpace, Measure,
+        ROW_CHUNK,
+    };
     use crate::dimension::{Dimension, Hierarchy};
     use bellwether_obs::{NoopRecorder, Registry};
 
@@ -989,7 +637,7 @@ mod tests {
     fn single_run_matches_in_memory_kernel_exactly() {
         let sp = space();
         let inp = input(3000, 42);
-        let expect = cube_pass_with(&sp, &inp, par(1), None);
+        let expect = cube_pass_traced(&sp, &inp, par(1), &NoopRecorder);
         for threads in [1, 2, 4] {
             let got = cube_pass_external(
                 &sp,
@@ -1008,20 +656,19 @@ mod tests {
         let sp = space();
         // Three inputs of 9000 rows at run_chunks=2: the 9 chunks form
         // 5 runs, so budget 0 spills several runs and the final pass is
-        // a genuine multi-run k-way merge on both sides.
+        // a genuine multi-run merge on both sides.
         let inputs: Vec<CubeInput> = (0..3).map(|i| input(9000, 7 + i)).collect();
         let reg = Registry::shared();
-        let unlimited = cube_pass_external_opts(
+        let unlimited = run_pass(
             &sp,
             &inputs,
             par(2),
-            UNLIMITED_BUDGET,
             2,
+            RunStore::new(UNLIMITED_BUDGET),
             &NoopRecorder,
         )
         .unwrap();
-        let spilled =
-            cube_pass_external_opts(&sp, &inputs, par(4), 0, 2, reg.as_ref()).unwrap();
+        let spilled = run_pass(&sp, &inputs, par(4), 2, RunStore::new(0), reg.as_ref()).unwrap();
         assert_bit_identical(&spilled, &unlimited, "spilled vs unlimited");
         let snap = reg.snapshot();
         let get = |name: &str| {
@@ -1041,31 +688,27 @@ mod tests {
     fn multi_input_partition_is_stable_across_threads_and_budgets() {
         let sp = space();
         let inputs: Vec<CubeInput> = (0..2).map(|i| input(5000, 100 + i)).collect();
-        let base = cube_pass_external_opts(
+        let base = run_pass(
             &sp,
             &inputs,
             par(1),
-            UNLIMITED_BUDGET,
             3,
+            RunStore::new(UNLIMITED_BUDGET),
             &NoopRecorder,
         )
         .unwrap();
         for threads in [2, 4] {
             for budget in [0usize, 1 << 20, UNLIMITED_BUDGET] {
-                let got = cube_pass_external_opts(
+                let got = run_pass(
                     &sp,
                     &inputs,
                     par(threads),
-                    budget,
                     3,
+                    RunStore::new(budget),
                     &NoopRecorder,
                 )
                 .unwrap();
-                assert_bit_identical(
-                    &got,
-                    &base,
-                    &format!("threads={threads} budget={budget}"),
-                );
+                assert_bit_identical(&got, &base, &format!("threads={threads} budget={budget}"));
             }
         }
     }
@@ -1117,61 +760,105 @@ mod tests {
         assert_eq!(got.measure_names, vec!["s".to_string()]);
     }
 
-    #[test]
-    fn run_roundtrip_is_bit_exact() {
-        // Serialize + reload one run and compare every lane.
-        let sp = space();
-        let inp = input(2000, 77);
-        let ks = KeySpace::build(&sp, &inp.item_ids).unwrap();
-        let key_of = |row: usize, coords: &[u32]| -> Option<u64> {
-            Some(ks.cell_key(coords) * ks.n_items + ks.item_index[&inp.item_ids[row]] as u64)
-        };
-        let tables: Vec<StateTable> = (0..inp.item_ids.len().div_ceil(ROW_CHUNK))
-            .map(|c| {
-                fold_chunk(&inp, 2, chunk_range(c, inp.item_ids.len()), &key_of)
-            })
-            .collect();
-        let (shards, _) = merge_chunks(&tables, ks.cell_space * ks.n_items, 2);
-        let dir = std::env::temp_dir().join(format!("bw_run_rt_{}", std::process::id()));
+    /// `inp` folded and merged as one run, the way the engine closes it.
+    fn merged_run(inp: &CubeInput) -> Vec<StateTable> {
+        let ks = KeySpace::build(&space(), &inp.item_ids).unwrap();
+        let key_of =
+            |row: usize, coords: &[u32]| -> Option<u64> { ks.key(inp.item_ids[row], coords).ok() };
+        let n_chunks = inp.rows().div_ceil(ROW_CHUNK);
+        let tables = fold_chunks(inp, 2, 0..n_chunks, 2, &key_of);
+        merge_chunks(&tables, ks.key_space(), 2).0
+    }
+
+    /// Write `shards` as a spill run under a fresh temp dir.
+    fn spill(tag: &str, shards: &[StateTable]) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("bw_run_{tag}_{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("run.bwrun");
-        write_run(&path, &shards).unwrap();
+        write_run(&path, shards).unwrap();
+        (dir, path)
+    }
 
-        let mut from_disk =
-            RunCursor::open(Run::Spilled { path: path.clone() }).unwrap();
-        let mut from_mem = RunCursor::open(Run::Resident {
-            shards,
-            bytes: 0,
-        })
-        .unwrap();
+    /// Slot `i` of `col` as a one-slot column (a copy-first merge).
+    fn slot(col: &StateCol, i: usize) -> String {
+        let mut one = col.new_like(1);
+        one.merge_from(col, i..i + 1, &[0], &[false]);
+        format!("{one:?}")
+    }
+
+    #[test]
+    fn run_roundtrip_is_bit_exact() {
+        // Serialize + reload one run through `FrameReader` and compare
+        // every lane of every cell.
+        let shards = merged_run(&input(2000, 77));
+        let (dir, path) = spill("rt", &shards);
+        let mut from_mem = shards
+            .iter()
+            .flat_map(|t| (0..t.len()).map(move |i| (t, i)));
+        let mut frames = FrameReader::open(&path).unwrap();
         let mut cells = 0usize;
-        loop {
-            match (from_mem.peek(), from_disk.peek()) {
-                (None, None) => break,
-                (Some(a), Some(b)) => {
-                    assert_eq!(a, b, "key order diverged at cell {cells}");
-                    let ta = from_mem.frame.as_ref().unwrap();
-                    let tb = from_disk.frame.as_ref().unwrap();
-                    for (ca, cb) in ta.cols.iter().zip(&tb.cols) {
-                        assert_eq!(col_tags(ca), col_tags(cb), "column kinds diverged");
-                        let mut probe_a = ca.new_like(0);
-                        let mut probe_b = cb.new_like(0);
-                        push_slot(&mut probe_a, ca, from_mem.pos);
-                        push_slot(&mut probe_b, cb, from_disk.pos);
-                        assert_eq!(
-                            format!("{probe_a:?}"),
-                            format!("{probe_b:?}"),
-                            "cell {cells} state diverged"
-                        );
-                    }
-                    from_mem.advance().unwrap();
-                    from_disk.advance().unwrap();
-                    cells += 1;
+        while let Some(frame) = frames.next_frame().unwrap() {
+            for i in 0..frame.len() {
+                let (t, j) = from_mem
+                    .next()
+                    .unwrap_or_else(|| panic!("disk run longer than memory at cell {cells}"));
+                assert_eq!(
+                    frame.keys[i], t.keys[j],
+                    "key order diverged at cell {cells}"
+                );
+                for (ca, cb) in t.cols.iter().zip(&frame.cols) {
+                    assert_eq!(col_tags(ca), col_tags(cb), "column kinds diverged");
+                    assert_eq!(slot(ca, j), slot(cb, i), "cell {cells} state diverged");
                 }
-                other => panic!("cursor lengths diverged at {cells}: {other:?}"),
+                cells += 1;
             }
         }
+        assert!(from_mem.next().is_none(), "disk run shorter than memory");
         assert!(cells > 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Overwrite the `u32` at `at` in `path` with `v`.
+    fn rewrite_u32(path: &PathBuf, at: usize, v: u32) {
+        let mut raw = fs::read(path).unwrap();
+        raw[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        fs::write(path, raw).unwrap();
+    }
+
+    fn first_frame_error(path: &PathBuf) -> io::Error {
+        let mut frames = FrameReader::open(path).unwrap();
+        frames
+            .next_frame()
+            .expect_err("corrupt frame must not decode")
+    }
+
+    #[test]
+    fn oversized_frame_cell_count_is_invalid_data() {
+        let shards = merged_run(&input(2000, 5));
+        let (dir, path) = spill("cells", &shards);
+        // Header: u32 column count + two tag bytes per column.
+        let header = 4 + 2 * shards[0].cols.len();
+        rewrite_u32(&path, header, u32::MAX);
+        let err = first_frame_error(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("cells"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn oversized_pair_list_is_invalid_data() {
+        let mut inp = input(2000, 6);
+        inp.measures.retain(|m| m.name() == "d");
+        let shards = merged_run(&inp);
+        let (dir, path) = spill("pairs", &shards);
+        // One distinct column: a 6-byte header, then the first frame's
+        // cell count, its keys, and the first cell's pair-list length.
+        let raw = fs::read(&path).unwrap();
+        let n = u32::from_le_bytes(raw[6..10].try_into().unwrap()) as usize;
+        rewrite_u32(&path, 10 + 8 * n, 0x7fff_ffff);
+        let err = first_frame_error(&path);
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("left"), "{err}");
         fs::remove_dir_all(&dir).ok();
     }
 }

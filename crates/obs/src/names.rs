@@ -44,7 +44,7 @@ pub const SHARD_READS: &str = "shard/reads";
 pub const SHARD_SPILLS: &str = "shard/spills";
 /// Bytes written to external-CUBE spill files.
 pub const SHARD_SPILL_BYTES: &str = "shard/spill_bytes";
-/// Runs (spilled + resident) k-way-merged by the external CUBE pass.
+/// Runs (spilled + resident) fed to the external CUBE pass's final merge.
 pub const SHARD_RUNS_MERGED: &str = "shard/runs_merged";
 
 /// Fact rows scanned by the CUBE pass (phase 1).

@@ -40,14 +40,14 @@ fn main() {
     let cube_result =
         cube_pass_traced(&data.space, &cube_input, Parallelism::default(), reg.as_ref());
 
-    // Legacy cross-check: the same pass through the old CubeStats API
-    // must count exactly the same work.
+    // Legacy cross-check: the same pass reporting into CubeStats (a
+    // counters-only Recorder) must count exactly the same work.
     let legacy_cube = bellwether::storage::CubeStats::shared();
-    let _ = bellwether::cube::cube_pass_with(
+    let _ = cube_pass_traced(
         &data.space,
         &cube_input,
         Parallelism::default(),
-        Some(&legacy_cube),
+        legacy_cube.as_ref(),
     );
     let snap = reg.snapshot();
     let legacy_snap = legacy_cube.snapshot();

@@ -179,3 +179,40 @@ fn disk_backed_pipeline_matches_memory() {
     assert_eq!(a.reports.len(), b.reports.len());
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn streaming_create_reports_why_the_base_was_refused() {
+    use bellwether::core::StreamingBellwether;
+    use bellwether::datagen::{build_stream_workload, StreamConfig};
+
+    // A base row one past the last node of the location hierarchy: the
+    // error must name it, not blame the key space.
+    let wl = build_stream_workload(&StreamConfig::default());
+    let mut base = wl.input_range(0, 1);
+    let arity = wl.region_space.arity();
+    base.coords[arity - 1] = wl.region_space.dims()[arity - 1].num_values() as u32;
+    let dir = std::env::temp_dir().join(format!("bw_stream_refused_{}", std::process::id()));
+    let config = BellwetherConfig::builder(f64::INFINITY)
+        .min_coverage(0.0)
+        .build()
+        .unwrap();
+    let err = StreamingBellwether::create(
+        &dir,
+        &wl.region_space,
+        &base,
+        &wl.item_universe(),
+        wl.items.clone(),
+        wl.target_map(),
+        wl.regions.clone(),
+        std::sync::Arc::new(UniformCellCost { rate: 1.0 }),
+        config,
+        wl.items.len(),
+        1,
+        1 << 20,
+    )
+    .err()
+    .expect("an out-of-range base row must be refused");
+    let msg = err.to_string();
+    assert!(msg.contains("out of range on dimension"), "{msg}");
+    assert!(!dir.exists(), "a refused base writes no layout");
+}

@@ -12,8 +12,8 @@
 
 use bellwether::prelude::*;
 use bellwether_cube::{
-    aggregate_filtered, cube_pass_with, feasible_regions, feasible_regions_naive,
-    rollup_lattice, rollup_naive, Constraints, CubeResult, Measure, Parallelism,
+    aggregate_filtered, cube_pass_traced, feasible_regions, feasible_regions_naive, rollup_lattice,
+    rollup_naive, Constraints, CubeResult, Measure, Parallelism,
 };
 use bellwether_prop::{check, Rng};
 use std::collections::HashMap;
@@ -63,9 +63,13 @@ fn cube_pass_matches_filtered_aggregation() {
         };
         let cube = cube_pass(&s, &input);
         for region in s.all_regions() {
-            let direct = aggregate_filtered(&input, 2, |cell| {
-                s.contains(&region, &RegionId(cell.to_vec()))
-            });
+            let direct = aggregate_filtered(
+                &input,
+                2,
+                |cell| s.contains(&region, &RegionId(cell.to_vec())),
+                Parallelism::default(),
+                &NoopRecorder,
+            );
             // Same covered items.
             assert_eq!(cube.coverage_count(&region), direct.len());
             for (item, vals) in &direct {
@@ -208,9 +212,9 @@ fn parallel_cube_pass_is_bit_identical_to_sequential() {
             coords,
             measures,
         };
-        let seq = cube_pass_with(&s, &input, Parallelism::sequential(), None);
+        let seq = cube_pass_traced(&s, &input, Parallelism::sequential(), &NoopRecorder);
         for threads in 2..=8 {
-            let par = cube_pass_with(&s, &input, Parallelism::fixed(threads), None);
+            let par = cube_pass_traced(&s, &input, Parallelism::fixed(threads), &NoopRecorder);
             assert_bit_identical(&seq, &par);
         }
     });
